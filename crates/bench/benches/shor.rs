@@ -15,7 +15,7 @@ fn print_experiment() {
     );
     println!("{}", "-".repeat(64));
     let mut rng = rng_from_seed(17);
-    for n in [15u64, 21, 33, 35, 39] {
+    for n in [15u64, 21, 33, 35, 39, 55, 77] {
         // Classical gcd shortcuts disabled so every row exercises the
         // quantum order-finding pipeline.
         let outcome = shor::factor_with_options(n, &mut rng, 60, false).expect("factors");
@@ -30,8 +30,8 @@ fn print_experiment() {
             divs
         );
     }
-    println!("\norder finding: 2m counting qubits over controlled modular");
-    println!("multiplication, inverse QFT, continued fractions — end to end");
+    println!("\norder finding: 2m counting qubits over modular exponentiation,");
+    println!("inverse QFT on the live work-register slices, continued fractions");
 }
 
 fn bench(c: &mut Criterion) {
@@ -39,6 +39,10 @@ fn bench(c: &mut Criterion) {
     c.bench_function("shor/order_finding_15", |b| {
         let mut rng = rng_from_seed(5);
         b.iter(|| criterion::black_box(shor::order_finding(7, 15, &mut rng).expect("order")));
+    });
+    c.bench_function("shor/order_finding_77", |b| {
+        let mut rng = rng_from_seed(5);
+        b.iter(|| criterion::black_box(shor::order_finding(2, 77, &mut rng).expect("order")));
     });
     c.bench_function("shor/factor_21", |b| {
         let mut seed = 0u64;

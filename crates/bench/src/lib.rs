@@ -1,8 +1,7 @@
 //! Shared helpers for the experiment benches.
 //!
 //! Every bench target in `benches/` regenerates one of the paper's figures
-//! or quantitative claims: it prints the reproduced table/series once (so
-//! `cargo bench | tee bench_output.txt` records the experimental data), and
+//! or quantitative claims: it prints the reproduced table/series once, and
 //! then times the experiment's core operation with Criterion.
 
 // Deliberate style choices for numerical simulation code: `!(x > 0.0)`

@@ -1,39 +1,42 @@
-//! Modular-arithmetic unitaries for order finding.
+//! Modular exponentiation for order finding.
 //!
-//! Shor's algorithm needs controlled `U_a` gates where
-//! `U_a |y⟩ = |a·y mod N⟩` on the work register (and identity for
-//! `y ≥ N`). These are basis-state permutations, so the simulator applies
-//! them directly as permutations instead of decomposing into elementary
-//! gates — exactly the freedom a state-vector backend provides.
+//! Shor's algorithm applies one controlled `U_a^(2^j)` per counting qubit,
+//! where `U_a |y⟩ = |a·y mod N⟩` on the work register (and identity for
+//! `y ≥ N`). Started from `|x⟩|1⟩`, the whole cascade is the map
+//! `|x⟩|1⟩ → |x⟩|a^x mod N⟩`: a basis-state permutation that moves
+//! amplitudes without mixing them. The simulator therefore runs it as the
+//! classical map [`modexp_map`], which names the work value each counting
+//! basis state lands on; [`crate::shor`] keeps one slice of the counting
+//! register per work value that receives any amplitude.
 //!
 //! # Example
 //!
 //! ```
-//! use quantum::arith::modmul_permutation;
+//! use quantum::arith::modexp_map;
 //!
-//! // U_2 on a 4-bit work register mod 15: |1⟩ → |2⟩.
-//! let perm = modmul_permutation(2, 15, 4)?;
-//! assert_eq!(perm[1], 2);
-//! assert_eq!(perm[7], 14);
-//! assert_eq!(perm[15], 15); // y >= N untouched
+//! // 7^x mod 15 cycles with period 4.
+//! let work = modexp_map(7, 15, 3)?;
+//! assert_eq!(work, [1, 7, 4, 13, 1, 7, 4, 13]);
 //! # Ok::<(), quantum::QuantumError>(())
 //! ```
 
 use crate::numtheory::gcd;
-use crate::state::StateVector;
-use crate::QuantumError;
+use crate::{QuantumError, MAX_QUBITS};
 
-/// The permutation of a `work_bits`-wide register implementing
-/// `y ↦ a·y mod n` for `y < n` (identity elsewhere).
+/// The work-register value `U_a^x |1⟩` for every counting value
+/// `x < 2^counting_bits`: `a^x mod n`, except that a work register at or
+/// above the modulus (only `n = 1`) is left at `1`.
 ///
 /// # Errors
 ///
-/// Returns [`QuantumError::Algorithm`] when `gcd(a, n) != 1` (the map would
-/// not be a bijection) or `n` does not fit in `work_bits`.
-pub fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Result<Vec<usize>, QuantumError> {
-    if n == 0 || (n as u128) > (1u128 << work_bits) {
+/// * [`QuantumError::Algorithm`] when `n` is zero or `gcd(a, n) != 1` (the
+///   multiplication would not be a bijection).
+/// * [`QuantumError::BadRegisterWidth`] when `counting_bits` exceeds
+///   [`MAX_QUBITS`].
+pub fn modexp_map(a: u64, n: u64, counting_bits: usize) -> Result<Vec<u64>, QuantumError> {
+    if n == 0 {
         return Err(QuantumError::Algorithm {
-            reason: format!("modulus {n} does not fit in {work_bits} bits"),
+            reason: "modulus 0".to_string(),
         });
     }
     if gcd(a % n, n) != 1 {
@@ -41,129 +44,60 @@ pub fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Result<Vec<usize>
             reason: format!("gcd({a}, {n}) != 1: modular multiplication is not invertible"),
         });
     }
-    let dim = 1usize << work_bits;
-    let mut perm = Vec::with_capacity(dim);
-    for y in 0..dim {
-        if (y as u64) < n {
-            perm.push(((a % n) * (y as u64) % n) as usize);
-        } else {
-            perm.push(y);
-        }
-    }
-    Ok(perm)
-}
-
-/// Applies the controlled modular multiplication
-/// `|c⟩|y⟩ → |c⟩|a^c · y mod n⟩` to a combined state whose low
-/// `counting_bits` qubits are the counting register and whose next
-/// `work_bits` qubits are the work register. `control` indexes into the
-/// counting register.
-///
-/// # Errors
-///
-/// * Propagates [`modmul_permutation`] errors.
-/// * [`QuantumError::QubitOutOfRange`] when the registers exceed the state.
-pub fn apply_controlled_modmul(
-    state: &mut StateVector,
-    control: usize,
-    counting_bits: usize,
-    work_bits: usize,
-    a: u64,
-    n: u64,
-) -> Result<(), QuantumError> {
-    if counting_bits + work_bits > state.n_qubits() || control >= counting_bits {
-        return Err(QuantumError::QubitOutOfRange {
-            qubit: control.max(counting_bits + work_bits),
-            n_qubits: state.n_qubits(),
+    if counting_bits > MAX_QUBITS {
+        return Err(QuantumError::BadRegisterWidth {
+            n_qubits: counting_bits,
         });
     }
-    let work_perm = modmul_permutation(a, n, work_bits)?;
-    let dim = state.dim();
-    let work_mask = (1usize << work_bits) - 1;
-    let control_mask = 1usize << control;
-    let mut perm = Vec::with_capacity(dim);
-    for i in 0..dim {
-        if i & control_mask == 0 {
-            perm.push(i);
-        } else {
-            let y = (i >> counting_bits) & work_mask;
-            let y_new = work_perm[y];
-            let cleared = i & !(work_mask << counting_bits);
-            perm.push(cleared | (y_new << counting_bits));
-        }
-    }
-    state.apply_permutation(&perm)
+    let a = u128::from(a % n);
+    let mut y = 1u64;
+    Ok((0..1usize << counting_bits)
+        .map(|_| {
+            let current = y;
+            if y < n {
+                y = (u128::from(y) * a % u128::from(n)) as u64;
+            }
+            current
+        })
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numtheory::{mod_pow, multiplicative_order};
 
     #[test]
-    fn permutation_is_bijection() {
-        let perm = modmul_permutation(7, 15, 4).unwrap();
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn permutation_matches_modular_multiplication() {
-        let perm = modmul_permutation(4, 15, 4).unwrap();
-        for y in 0..15usize {
-            assert_eq!(perm[y], 4 * y % 15);
+    fn map_matches_mod_pow() {
+        for (a, n) in [(7u64, 15u64), (2, 21), (5, 33), (3, 77), (80, 77)] {
+            let work = modexp_map(a, n, 8).unwrap();
+            assert_eq!(work.len(), 256);
+            for (x, &y) in work.iter().enumerate() {
+                assert_eq!(y, mod_pow(a, x as u64, n), "{a}^{x} mod {n}");
+            }
         }
     }
 
     #[test]
-    fn non_coprime_rejected() {
-        assert!(modmul_permutation(3, 15, 4).is_err());
-        assert!(modmul_permutation(5, 15, 4).is_err());
-    }
-
-    #[test]
-    fn modulus_must_fit() {
-        assert!(modmul_permutation(2, 17, 4).is_err());
-        assert!(modmul_permutation(3, 16, 4).is_ok());
-    }
-
-    #[test]
-    fn controlled_modmul_acts_only_when_control_set() {
-        // 2 counting bits + 4 work bits.
-        let counting = 2;
-        let work = 4;
-        // Work register starts at |3⟩, counting at |01⟩ (control 0 set).
-        let idx = (3usize << counting) | 0b01;
-        let mut s = StateVector::basis(counting + work, idx).unwrap();
-        apply_controlled_modmul(&mut s, 0, counting, work, 7, 15).unwrap();
-        let expected = ((7 * 3 % 15) << counting) | 0b01;
-        assert_eq!(s.probability(expected).unwrap(), 1.0);
-
-        // Control clear → untouched.
-        let idx = (3usize << counting) | 0b10;
-        let mut s = StateVector::basis(counting + work, idx).unwrap();
-        apply_controlled_modmul(&mut s, 0, counting, work, 7, 15).unwrap();
-        assert_eq!(s.probability(idx).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn repeated_application_cycles_with_order() {
-        // Order of 2 mod 15 is 4: applying controlled-U_2 four times with
-        // the control set returns the work register to its start.
-        let counting = 1;
-        let work = 4;
-        let start = (1usize << counting) | 1; // work=1, control set
-        let mut s = StateVector::basis(counting + work, start).unwrap();
-        for _ in 0..4 {
-            apply_controlled_modmul(&mut s, 0, counting, work, 2, 15).unwrap();
+    fn distinct_values_number_the_order() {
+        for (a, n) in [(7u64, 15u64), (2, 21), (4, 55), (3, 77)] {
+            let mut live = modexp_map(a, n, 10).unwrap();
+            live.sort_unstable();
+            live.dedup();
+            assert_eq!(Some(live.len() as u64), multiplicative_order(a, n));
         }
-        assert_eq!(s.probability(start).unwrap(), 1.0);
     }
 
     #[test]
-    fn bad_register_geometry_rejected() {
-        let mut s = StateVector::zero(4);
-        assert!(apply_controlled_modmul(&mut s, 0, 2, 4, 7, 15).is_err());
-        assert!(apply_controlled_modmul(&mut s, 2, 2, 2, 3, 4).is_err());
+    fn register_above_modulus_is_untouched() {
+        assert_eq!(modexp_map(4, 1, 2).unwrap(), [1, 1, 1, 1]);
+    }
+
+    #[test]
+    fn bad_arguments_rejected() {
+        assert!(modexp_map(3, 15, 4).is_err());
+        assert!(modexp_map(5, 15, 4).is_err());
+        assert!(modexp_map(2, 0, 4).is_err());
+        assert!(modexp_map(2, 15, MAX_QUBITS + 1).is_err());
     }
 }

@@ -226,8 +226,8 @@ impl Gate {
             Gate::Rz(q, t) => state.apply_single(q, &matrices::rz(t)),
             Gate::Phase(q, t) => state.apply_single(q, &matrices::phase(t)),
             Gate::CX(c, t) => state.apply_controlled(c, t, &matrices::PAULI_X),
-            Gate::CZ(c, t) => state.apply_controlled(c, t, &matrices::PAULI_Z),
-            Gate::CPhase(c, t, theta) => state.apply_controlled(c, t, &matrices::phase(theta)),
+            Gate::CZ(c, t) => state.apply_controlled_phase(c, t, matrices::PAULI_Z[1][1]),
+            Gate::CPhase(c, t, theta) => state.apply_controlled_phase(c, t, Complex::cis(theta)),
             Gate::Swap(a, b) => state.apply_swap(a, b),
             Gate::Toffoli(a, b, t) => state.apply_controlled2(a, b, t, &matrices::PAULI_X),
         }

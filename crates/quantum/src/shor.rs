@@ -6,9 +6,9 @@
 //! the full pipeline on the simulator:
 //!
 //! 1. classical pre-checks (even, perfect power, lucky gcd);
-//! 2. quantum order finding: phase estimation over the controlled modular
-//!    multiplication unitaries of [`crate::arith`], with an inverse QFT on
-//!    the counting register;
+//! 2. quantum order finding: phase estimation over the modular
+//!    exponentiation of [`crate::arith`], with an inverse QFT on the
+//!    counting register, simulated on the live work-register slices only;
 //! 3. continued-fraction post-processing of the measured phase;
 //! 4. factor extraction from an even order `r` with
 //!    `a^{r/2} ≢ −1 (mod N)`.
@@ -26,7 +26,7 @@
 //! # Ok::<(), quantum::QuantumError>(())
 //! ```
 
-use crate::arith::apply_controlled_modmul;
+use crate::arith::modexp_map;
 use crate::gate::Gate;
 use crate::numtheory::{convergents, gcd, is_perfect_power, is_prime, mod_pow};
 use crate::qft::inverse_qft_circuit;
@@ -90,34 +90,12 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
             reason: format!("{n} too large to simulate"),
         });
     }
-    let total = counting_bits + work_bits;
+    let mut slices = counting_slices(a, n, counting_bits)?;
 
-    let mut state = StateVector::try_zero(total)?;
-    // Counting register into uniform superposition.
-    for q in 0..counting_bits {
-        Gate::H(q).apply(&mut state)?;
-    }
-    // Work register to |1⟩.
-    Gate::X(counting_bits).apply(&mut state)?;
-
-    // Controlled U^(2^j) for each counting qubit.
-    for j in 0..counting_bits {
-        let a_pow = mod_pow(a, 1u64 << j, n);
-        apply_controlled_modmul(&mut state, j, counting_bits, work_bits, a_pow, n)?;
-    }
-
-    // Inverse QFT on the counting register (it occupies the low qubits, so
-    // the circuit applies directly).
-    let mut iqft_state = state;
-    let iqft = inverse_qft_circuit(counting_bits)?;
-    for gate in iqft.gates() {
-        gate.apply(&mut iqft_state)?;
-    }
-
-    // Measure the counting register.
+    // Measure the counting register, one qubit at a time across all slices.
     let mut measurement = 0u64;
     for q in 0..counting_bits {
-        if iqft_state.measure_qubit(q, rng)? {
+        if StateVector::measure_qubit_joint(&mut slices, q, rng)? {
             measurement |= 1 << q;
         }
     }
@@ -138,6 +116,45 @@ pub fn order_finding<R: Rng>(a: u64, n: u64, rng: &mut R) -> Result<OrderFinding
         counting_bits,
         order,
     })
+}
+
+/// The `2^(c+w)` register of order finding just before measurement, kept
+/// as one `2^c`-amplitude counting-register slice per work value that holds
+/// any amplitude, in ascending order of that value.
+///
+/// The work register starts at `|1⟩` and the controlled `U^(2^j)` cascade
+/// only permutes basis states, `|x⟩|1⟩ → |x⟩|a^x mod n⟩`, so it runs as the
+/// classical [`modexp_map`]. The inverse QFT touches only the counting
+/// qubits, so it runs on each slice alone, and the `ord_n(a)` live slices
+/// are all that is simulated. Every amplitude gets the same floating-point
+/// result as on the full register; only operations on exact zeros are
+/// skipped.
+fn counting_slices(a: u64, n: u64, counting_bits: usize) -> Result<Vec<StateVector>, QuantumError> {
+    // Counting register into uniform superposition.
+    let mut counting = StateVector::try_zero(counting_bits)?;
+    for q in 0..counting_bits {
+        Gate::H(q).apply(&mut counting)?;
+    }
+
+    let work = modexp_map(a, n, counting_bits)?;
+    let mut live = work.clone();
+    live.sort_unstable();
+    live.dedup();
+    let slice_of: Vec<usize> = work
+        .iter()
+        .map(|y| live.partition_point(|v| v < y))
+        .collect();
+    let mut slices = counting.split(&slice_of, live.len())?;
+
+    // Inverse QFT on the counting register, slice by slice so each stays
+    // in cache for the whole circuit.
+    let iqft = inverse_qft_circuit(counting_bits)?;
+    for slice in &mut slices {
+        for gate in iqft.gates() {
+            gate.apply(slice)?;
+        }
+    }
+    Ok(slices)
 }
 
 /// Factors `n` with Shor's algorithm, retrying order finding up to
@@ -256,7 +273,225 @@ pub fn factor_with_options<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numtheory::gcd;
     use numerics::rng::rng_from_seed;
+    use numerics::Complex;
+
+    /// `y ↦ a·y mod n` on a `work_bits` register, identity for `y ≥ n`.
+    fn modmul_permutation(a: u64, n: u64, work_bits: usize) -> Vec<usize> {
+        (0..1u64 << work_bits)
+            .map(|y| {
+                if y < n {
+                    (a % n * y % n) as usize
+                } else {
+                    y as usize
+                }
+            })
+            .collect()
+    }
+
+    /// Controlled `U_a` on the full register as a basis-state permutation:
+    /// `|c⟩|y⟩ → |c⟩|a^c · y mod n⟩`, the counting register in the low
+    /// `counting_bits` qubits and the work register above it.
+    fn apply_controlled_modmul(
+        state: &mut StateVector,
+        control: usize,
+        counting_bits: usize,
+        work_bits: usize,
+        a: u64,
+        n: u64,
+    ) {
+        let work_perm = modmul_permutation(a, n, work_bits);
+        let work_mask = (1usize << work_bits) - 1;
+        let amps = state.amplitudes();
+        let mut moved = vec![Complex::ZERO; amps.len()];
+        for (i, &amp) in amps.iter().enumerate() {
+            let target = if i & (1 << control) == 0 {
+                i
+            } else {
+                let y = (i >> counting_bits) & work_mask;
+                (i & !(work_mask << counting_bits)) | (work_perm[y] << counting_bits)
+            };
+            moved[target] = amp;
+        }
+        *state = StateVector::from_raw(moved);
+    }
+
+    /// The whole `2^(c+w)` register just before measurement, simulated
+    /// gate by gate: H layer, X on the work register, one controlled
+    /// mod-mul per counting qubit, inverse QFT.
+    fn full_register(a: u64, n: u64) -> (StateVector, usize) {
+        let work_bits = bits_for(n);
+        let counting_bits = (2 * work_bits).min(MAX_QUBITS - work_bits);
+        let mut state = StateVector::zero(counting_bits + work_bits);
+        for q in 0..counting_bits {
+            Gate::H(q).apply(&mut state).unwrap();
+        }
+        Gate::X(counting_bits).apply(&mut state).unwrap();
+        for j in 0..counting_bits {
+            let a_pow = mod_pow(a, 1u64 << j, n);
+            apply_controlled_modmul(&mut state, j, counting_bits, work_bits, a_pow, n);
+        }
+        for gate in inverse_qft_circuit(counting_bits).unwrap().gates() {
+            gate.apply(&mut state).unwrap();
+        }
+        (state, counting_bits)
+    }
+
+    /// Measures the counting qubits of the whole register in order, each
+    /// with the whole-register loop: the probability over every index with
+    /// the bit set, one draw, collapse, [`StateVector::normalize`].
+    fn measure_whole<R: Rng>(state: &mut StateVector, counting_bits: usize, rng: &mut R) -> u64 {
+        let mut measurement = 0u64;
+        for q in 0..counting_bits {
+            let mask = 1usize << q;
+            let amps = state.amplitudes();
+            let p1: f64 = amps
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| i & mask != 0)
+                .map(|(_, a)| a.norm_sqr())
+                .sum();
+            let outcome = rng.gen::<f64>() < p1;
+            let collapsed = amps
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| {
+                    if (i & mask != 0) == outcome {
+                        a
+                    } else {
+                        Complex::ZERO
+                    }
+                })
+                .collect();
+            *state = StateVector::from_raw(collapsed);
+            state.normalize();
+            measurement |= u64::from(outcome) << q;
+        }
+        measurement
+    }
+
+    /// Asserts the slices hold the whole register bit for bit (`==`
+    /// equates ±0): live slices in ascending work value, the rest zero.
+    fn assert_same_state(whole: &StateVector, slices: &[StateVector], live: &[u64], what: &str) {
+        let dim = slices[0].dim();
+        for (i, amp) in whole.amplitudes().iter().enumerate() {
+            let (y, x) = ((i / dim) as u64, i % dim);
+            match live.binary_search(&y) {
+                Ok(k) => assert_eq!(slices[k].amplitudes()[x], *amp, "{what} at {i}"),
+                Err(_) => assert_eq!(*amp, Complex::ZERO, "{what} at {i}"),
+            }
+        }
+    }
+
+    /// `(n, coprime bases)` for the reference comparisons.
+    const CASES: [(u64, &[u64]); 7] = [
+        (1, &[2]),
+        (15, &[2, 7, 11]),
+        (21, &[2, 5, 13]),
+        (33, &[2, 5, 7]),
+        (35, &[2, 3, 12]),
+        (55, &[2, 7, 21]),
+        (77, &[2, 10]),
+    ];
+
+    #[test]
+    fn sliced_order_finding_matches_full_register() {
+        for (n, bases) in CASES {
+            for &a in bases {
+                assert_eq!(gcd(a, n), 1);
+                let (full, counting_bits) = full_register(a, n);
+                let prepared = counting_slices(a, n, counting_bits).unwrap();
+                let mut live = modexp_map(a, n, counting_bits).unwrap();
+                live.sort_unstable();
+                live.dedup();
+                assert_same_state(&full, &prepared, &live, &format!("{a} mod {n}"));
+                for seed in [1u64, 2, 3] {
+                    let what = format!("{a} mod {n}, seed {seed}");
+                    let mut whole = full.clone();
+                    let mut whole_rng = rng_from_seed(seed);
+                    let expected = measure_whole(&mut whole, counting_bits, &mut whole_rng);
+
+                    // The collapsed slices match the collapsed register.
+                    let mut slices = prepared.clone();
+                    let mut rng = rng_from_seed(seed);
+                    for q in 0..counting_bits {
+                        StateVector::measure_qubit_joint(&mut slices, q, &mut rng).unwrap();
+                    }
+                    assert_same_state(&whole, &slices, &live, &what);
+
+                    // Same measurement, and the next draw is the same.
+                    let mut rng = rng_from_seed(seed);
+                    let run = order_finding(a, n, &mut rng).unwrap();
+                    assert_eq!(run.measurement, expected, "{what}");
+                    assert_eq!(run.counting_bits, counting_bits);
+                    assert_eq!(rng.gen::<u64>(), whole_rng.gen::<u64>(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn order_finding_keeps_width_and_gcd_checks() {
+        let mut rng = rng_from_seed(1);
+        // 13 work bits leave 11 counting bits under MAX_QUBITS: too few.
+        let err = order_finding(2, 4097, &mut rng).unwrap_err();
+        assert!(err.to_string().contains("too large to simulate"), "{err}");
+        assert!(order_finding(7, 77, &mut rng).is_err());
+        assert!(order_finding(1, 0, &mut rng).is_err());
+    }
+
+    /// `(n, seed, factors, quantum_calls, quantum_ops, classical_shortcut)`.
+    type GoldenRow = (u64, u64, (u64, u64), u64, u64, bool);
+
+    /// `shor::factor(n, seed, 50)` as computed by the full-register
+    /// simulation.
+    const FACTOR_GOLDEN: [GoldenRow; 30] = [
+        (15, 1, (3, 5), 0, 0, true),
+        (15, 2, (3, 5), 1, 52, false),
+        (15, 3, (5, 3), 2, 104, false),
+        (15, 4, (5, 3), 0, 0, true),
+        (15, 5, (5, 3), 0, 0, true),
+        (21, 1, (3, 7), 4, 300, true),
+        (21, 2, (3, 7), 1, 75, true),
+        (21, 3, (7, 3), 3, 225, true),
+        (21, 4, (7, 3), 0, 0, true),
+        (21, 5, (7, 3), 0, 0, true),
+        (33, 1, (3, 11), 0, 0, true),
+        (33, 2, (3, 11), 3, 306, true),
+        (33, 3, (3, 11), 0, 0, true),
+        (33, 4, (3, 11), 2, 204, false),
+        (33, 5, (11, 3), 0, 0, true),
+        (35, 1, (7, 5), 0, 0, true),
+        (35, 2, (7, 5), 4, 408, false),
+        (35, 3, (7, 5), 4, 408, false),
+        (35, 4, (5, 7), 4, 408, true),
+        (35, 5, (5, 7), 4, 408, true),
+        (55, 1, (5, 11), 0, 0, true),
+        (55, 2, (5, 11), 2, 204, false),
+        (55, 3, (5, 11), 4, 408, true),
+        (55, 4, (5, 11), 2, 204, false),
+        (55, 5, (5, 11), 1, 102, false),
+        (77, 1, (11, 7), 4, 532, false),
+        (77, 2, (7, 11), 1, 133, false),
+        (77, 3, (11, 7), 2, 266, false),
+        (77, 4, (7, 11), 5, 665, true),
+        (77, 5, (11, 7), 3, 399, true),
+    ];
+
+    #[test]
+    fn factor_matches_full_register_golden() {
+        for (n, seed, factors, quantum_calls, quantum_ops, classical_shortcut) in FACTOR_GOLDEN {
+            let out = factor(n, &mut rng_from_seed(seed), 50).unwrap();
+            let expected = FactorOutcome {
+                factors,
+                quantum_calls,
+                quantum_ops,
+                classical_shortcut,
+            };
+            assert_eq!(out, expected, "factor({n}) with seed {seed}");
+        }
+    }
 
     #[test]
     fn order_finding_recovers_known_order() {

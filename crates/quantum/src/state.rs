@@ -20,6 +20,7 @@
 use crate::{QuantumError, MAX_QUBITS};
 use numerics::rng::Rng;
 use numerics::Complex;
+use std::ops::Range;
 
 /// A 2×2 complex matrix in row-major order.
 pub type Matrix2 = [[Complex; 2]; 2];
@@ -111,6 +112,39 @@ impl StateVector {
         })
     }
 
+    /// Splits the register by a classical function of its basis index:
+    /// amplitude `i` moves, unchanged, to index `i` of slice `slice_of[i]`,
+    /// and every other entry of every slice is zero. This is the state after
+    /// an oracle `|i⟩|0⟩ → |i⟩|f(i)⟩` writes into a higher register held as
+    /// one slice per value of `f` (see [`StateVector::measure_qubit_joint`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantumError::BadAmplitudes`] when `slice_of` does not
+    /// have one entry per amplitude, each below `slices`.
+    pub(crate) fn split(
+        &self,
+        slice_of: &[usize],
+        slices: usize,
+    ) -> Result<Vec<StateVector>, QuantumError> {
+        if slice_of.len() != self.amps.len() || slice_of.iter().any(|&k| k >= slices) {
+            return Err(QuantumError::BadAmplitudes {
+                reason: "split needs one slice index below the slice count per amplitude",
+            });
+        }
+        let mut out = vec![
+            StateVector {
+                n_qubits: self.n_qubits,
+                amps: vec![Complex::ZERO; self.amps.len()],
+            };
+            slices
+        ];
+        for (i, (&k, &a)) in slice_of.iter().zip(&self.amps).enumerate() {
+            out[k].amps[i] = a;
+        }
+        Ok(out)
+    }
+
     /// Register width.
     #[must_use]
     pub fn n_qubits(&self) -> usize {
@@ -188,18 +222,11 @@ impl StateVector {
     pub fn apply_single(&mut self, q: usize, m: &Matrix2) -> Result<(), QuantumError> {
         self.check_qubit(q)?;
         let stride = 1usize << q;
-        let dim = self.amps.len();
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + stride {
-                let i0 = offset;
-                let i1 = offset + stride;
-                let a0 = self.amps[i0];
-                let a1 = self.amps[i1];
-                self.amps[i0] = m[0][0] * a0 + m[0][1] * a1;
-                self.amps[i1] = m[1][0] * a0 + m[1][1] * a1;
+        for block in self.amps.chunks_exact_mut(stride << 1) {
+            let (zeros, ones) = block.split_at_mut(stride);
+            for (a0, a1) in zeros.iter_mut().zip(ones) {
+                (*a0, *a1) = (m[0][0] * *a0 + m[0][1] * *a1, m[1][0] * *a0 + m[1][1] * *a1);
             }
-            base += stride << 1;
         }
         Ok(())
     }
@@ -217,28 +244,13 @@ impl StateVector {
         target: usize,
         m: &Matrix2,
     ) -> Result<(), QuantumError> {
-        self.check_qubit(control)?;
-        self.check_qubit(target)?;
-        if control == target {
-            return Err(QuantumError::DuplicateQubits);
-        }
+        self.check_distinct(&[control, target])?;
         let t_stride = 1usize << target;
         let c_mask = 1usize << control;
-        let dim = self.amps.len();
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + t_stride {
-                if offset & c_mask == 0 {
-                    continue;
-                }
-                let i0 = offset;
-                let i1 = offset + t_stride;
-                let a0 = self.amps[i0];
-                let a1 = self.amps[i1];
-                self.amps[i0] = m[0][0] * a0 + m[0][1] * a1;
-                self.amps[i1] = m[1][0] * a0 + m[1][1] * a1;
+        for run in clear_bit_runs(self.amps.len(), [control, target]) {
+            for base in run {
+                self.apply_pair(base | c_mask, t_stride, m);
             }
-            base += t_stride << 1;
         }
         Ok(())
     }
@@ -255,29 +267,37 @@ impl StateVector {
         target: usize,
         m: &Matrix2,
     ) -> Result<(), QuantumError> {
-        self.check_qubit(c1)?;
-        self.check_qubit(c2)?;
-        self.check_qubit(target)?;
-        if c1 == c2 || c1 == target || c2 == target {
-            return Err(QuantumError::DuplicateQubits);
-        }
+        self.check_distinct(&[c1, c2, target])?;
         let t_stride = 1usize << target;
         let mask = (1usize << c1) | (1usize << c2);
-        let dim = self.amps.len();
-        let mut base = 0usize;
-        while base < dim {
-            for offset in base..base + t_stride {
-                if offset & mask != mask {
-                    continue;
-                }
-                let i0 = offset;
-                let i1 = offset + t_stride;
-                let a0 = self.amps[i0];
-                let a1 = self.amps[i1];
-                self.amps[i0] = m[0][0] * a0 + m[0][1] * a1;
-                self.amps[i1] = m[1][0] * a0 + m[1][1] * a1;
+        for run in clear_bit_runs(self.amps.len(), [c1, c2, target]) {
+            for base in run {
+                self.apply_pair(base | mask, t_stride, m);
             }
-            base += t_stride << 1;
+        }
+        Ok(())
+    }
+
+    /// Applies the controlled `diag(1, phase)` gate: multiplies every
+    /// amplitude whose `control` and `target` bits are both set by `phase`.
+    /// The gate is symmetric in its two qubits; `CPhase` and `CZ` run here.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`StateVector::apply_controlled`].
+    pub(crate) fn apply_controlled_phase(
+        &mut self,
+        control: usize,
+        target: usize,
+        phase: Complex,
+    ) -> Result<(), QuantumError> {
+        self.check_distinct(&[control, target])?;
+        let mask = (1usize << control) | (1usize << target);
+        for run in clear_bit_runs(self.amps.len(), [control, target]) {
+            let start = run.start | mask;
+            for a in &mut self.amps[start..start + run.len()] {
+                *a = phase * *a;
+            }
         }
         Ok(())
     }
@@ -289,54 +309,35 @@ impl StateVector {
     /// * [`QuantumError::QubitOutOfRange`] for bad indices.
     /// * [`QuantumError::DuplicateQubits`] when `a == b`.
     pub fn apply_swap(&mut self, a: usize, b: usize) -> Result<(), QuantumError> {
-        self.check_qubit(a)?;
-        self.check_qubit(b)?;
-        if a == b {
-            return Err(QuantumError::DuplicateQubits);
+        self.check_distinct(&[a, b])?;
+        let (lo, hi) = (1usize << a.min(b), 1usize << a.max(b));
+        for run in clear_bit_runs(self.amps.len(), [a, b]) {
+            let (head, tail) = self.amps.split_at_mut(run.start | hi);
+            head[run.start | lo..][..run.len()].swap_with_slice(&mut tail[..run.len()]);
         }
-        let ma = 1usize << a;
-        let mb = 1usize << b;
-        for i in 0..self.amps.len() {
-            let bit_a = (i & ma) != 0;
-            let bit_b = (i & mb) != 0;
-            if bit_a && !bit_b {
-                let j = (i & !ma) | mb;
-                self.amps.swap(i, j);
+        Ok(())
+    }
+
+    /// Checks every index and that no two coincide.
+    fn check_distinct(&self, qubits: &[usize]) -> Result<(), QuantumError> {
+        for &q in qubits {
+            self.check_qubit(q)?;
+        }
+        for (i, q) in qubits.iter().enumerate() {
+            if qubits[..i].contains(q) {
+                return Err(QuantumError::DuplicateQubits);
             }
         }
         Ok(())
     }
 
-    /// Applies an arbitrary basis-state permutation `π`: the amplitude of
-    /// `|i⟩` moves to `|π(i)⟩`. The caller must supply a bijection; this is
-    /// how the modular-arithmetic "oracle" unitaries of Shor's algorithm are
-    /// executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantumError::BadAmplitudes`] when `perm` is not a
-    /// permutation of `0..2^n`.
-    pub fn apply_permutation(&mut self, perm: &[usize]) -> Result<(), QuantumError> {
-        if perm.len() != self.amps.len() {
-            return Err(QuantumError::BadAmplitudes {
-                reason: "permutation length must equal state dimension",
-            });
-        }
-        let mut seen = vec![false; perm.len()];
-        for &p in perm {
-            if p >= perm.len() || seen[p] {
-                return Err(QuantumError::BadAmplitudes {
-                    reason: "not a permutation",
-                });
-            }
-            seen[p] = true;
-        }
-        let mut new_amps = vec![Complex::ZERO; self.amps.len()];
-        for (i, &p) in perm.iter().enumerate() {
-            new_amps[p] = self.amps[i];
-        }
-        self.amps = new_amps;
-        Ok(())
+    /// `m` on the pair `(i0, i0 + stride)`.
+    fn apply_pair(&mut self, i0: usize, stride: usize, m: &Matrix2) {
+        let i1 = i0 + stride;
+        let a0 = self.amps[i0];
+        let a1 = self.amps[i1];
+        self.amps[i0] = m[0][0] * a0 + m[0][1] * a1;
+        self.amps[i1] = m[1][0] * a0 + m[1][1] * a1;
     }
 
     /// Probability that qubit `q` measures as `|1⟩`.
@@ -346,14 +347,7 @@ impl StateVector {
     /// Returns [`QuantumError::QubitOutOfRange`] for a bad index.
     pub fn prob_one(&self, q: usize) -> Result<f64, QuantumError> {
         self.check_qubit(q)?;
-        let mask = 1usize << q;
-        Ok(self
-            .amps
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i & mask != 0)
-            .map(|(_, a)| a.norm_sqr())
-            .sum())
+        Ok(prob_one_joint(std::slice::from_ref(self), q))
     }
 
     /// Measures qubit `q`, collapsing the state. Returns the outcome.
@@ -362,16 +356,54 @@ impl StateVector {
     ///
     /// Returns [`QuantumError::QubitOutOfRange`] for a bad index.
     pub fn measure_qubit<R: Rng>(&mut self, q: usize, rng: &mut R) -> Result<bool, QuantumError> {
-        let p1 = self.prob_one(q)?;
+        Self::measure_qubit_joint(std::slice::from_mut(self), q, rng)
+    }
+
+    /// Measures qubit `q` of one register held as slices, collapsing every
+    /// slice. The slices are the blocks of the whole register that hold any
+    /// amplitude, one per value of the qubits above them, in ascending order
+    /// of that value; every block left out is all zeros. `q` indexes the
+    /// low qubits, which every slice spans. The probability and the
+    /// renormalization are summed over the slices in order, so the outcome
+    /// and the single draw from `rng` are exactly those of
+    /// [`StateVector::measure_qubit`] on the whole register.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantumError::QubitOutOfRange`] when a slice has no qubit
+    /// `q`.
+    pub(crate) fn measure_qubit_joint<R: Rng>(
+        slices: &mut [StateVector],
+        q: usize,
+        rng: &mut R,
+    ) -> Result<bool, QuantumError> {
+        for slice in slices.iter() {
+            slice.check_qubit(q)?;
+        }
+        let p1 = prob_one_joint(slices, q);
         let outcome = rng.gen::<f64>() < p1;
-        let mask = 1usize << q;
-        for (i, a) in self.amps.iter_mut().enumerate() {
-            let bit = (i & mask) != 0;
-            if bit != outcome {
-                *a = Complex::ZERO;
+        // Collapse and sum the surviving norm in one ascending pass; the
+        // zeroed amplitudes would only add exact zeros.
+        let stride = 1usize << q;
+        let norm = slices
+            .iter_mut()
+            .flat_map(|s| s.amps.chunks_exact_mut(stride << 1))
+            .flat_map(|block| collapse_block(block, stride, outcome))
+            .map(|a| a.norm_sqr())
+            .sum::<f64>()
+            .sqrt();
+        if norm > 0.0 {
+            let s = 1.0 / norm;
+            let offset = if outcome { stride } else { 0 };
+            for block in slices
+                .iter_mut()
+                .flat_map(|s| s.amps.chunks_exact_mut(stride << 1))
+            {
+                for a in &mut block[offset..offset + stride] {
+                    *a = a.scale(s);
+                }
             }
         }
-        self.normalize();
         Ok(outcome)
     }
 
@@ -461,9 +493,67 @@ impl StateVector {
 }
 
 #[cfg(test)]
+impl StateVector {
+    /// Wraps raw amplitudes without normalizing them, for reference
+    /// simulations in tests that must keep every bit.
+    pub(crate) fn from_raw(amps: Vec<Complex>) -> StateVector {
+        assert!(amps.len().is_power_of_two() && amps.len() >= 2);
+        StateVector {
+            n_qubits: amps.len().trailing_zeros() as usize,
+            amps,
+        }
+    }
+}
+
+/// `P(qubit q = 1)` summed in slice order, then ascending index.
+fn prob_one_joint(slices: &[StateVector], q: usize) -> f64 {
+    let stride = 1usize << q;
+    slices
+        .iter()
+        .flat_map(|s| s.amps.chunks_exact(stride << 1))
+        .flat_map(|block| &block[stride..])
+        .map(|a| a.norm_sqr())
+        .sum()
+}
+
+/// Zeroes the half of a `2·stride` block whose qubit disagrees with
+/// `outcome`; returns the kept half.
+fn collapse_block(block: &mut [Complex], stride: usize, outcome: bool) -> &[Complex] {
+    let (zeros, ones) = block.split_at_mut(stride);
+    let (kept, lost) = if outcome {
+        (ones, zeros)
+    } else {
+        (zeros, ones)
+    };
+    lost.fill(Complex::ZERO);
+    kept
+}
+
+/// Every index below `dim` with all of the `bits` positions clear, in
+/// ascending order, as contiguous runs of `2^min(bits)` indices: the base
+/// index of each amplitude group a gate on those qubits touches. `bits`
+/// must be distinct qubits of a `dim`-amplitude register.
+fn clear_bit_runs<const K: usize>(
+    dim: usize,
+    mut bits: [usize; K],
+) -> impl Iterator<Item = Range<usize>> {
+    bits.sort_unstable();
+    let run = 1usize << bits[0];
+    // Spread a compact counter over the free bit positions by inserting a
+    // zero at each position, lowest first; bits below the lowest position
+    // pass through unchanged, so each run stays contiguous.
+    (0..dim >> K).step_by(run).map(move |compact| {
+        let start = bits.iter().fold(compact, |i, &b| {
+            ((i >> b) << (b + 1)) | (i & ((1 << b) - 1))
+        });
+        start..start + run
+    })
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gate::matrices;
+    use crate::gate::{matrices, Gate};
     use numerics::rng::rng_from_seed;
 
     #[test]
@@ -558,14 +648,128 @@ mod tests {
         }
     }
 
+    /// The dense 2×2 formula: `m` on every `(i0, i0 + 2^target)` pair
+    /// whose control bits are all set, found by testing every index.
+    fn dense_controlled(
+        amps: &[Complex],
+        controls: &[usize],
+        target: usize,
+        m: &Matrix2,
+    ) -> Vec<Complex> {
+        let t = 1usize << target;
+        let mut out = amps.to_vec();
+        for i0 in 0..amps.len() {
+            if i0 & t != 0 || controls.iter().any(|&c| i0 & (1 << c) == 0) {
+                continue;
+            }
+            let (a0, a1) = (amps[i0], amps[i0 + t]);
+            out[i0] = m[0][0] * a0 + m[0][1] * a1;
+            out[i0 + t] = m[1][0] * a0 + m[1][1] * a1;
+        }
+        out
+    }
+
+    /// Random components, a quarter of them exact zeros of either sign.
+    fn random_component<R: Rng>(rng: &mut R) -> f64 {
+        match rng.gen_range(0..8) {
+            0 => 0.0,
+            1 => -0.0,
+            _ => rng.gen_range(-1.0..1.0),
+        }
+    }
+
+    fn random_complex<R: Rng>(rng: &mut R) -> Complex {
+        Complex::new(random_component(rng), random_component(rng))
+    }
+
     #[test]
-    fn permutation_applies() {
-        let mut s = StateVector::basis(2, 1).unwrap();
-        // Cyclic shift i -> i+1 mod 4.
-        s.apply_permutation(&[1, 2, 3, 0]).unwrap();
-        assert_eq!(s.probability(2).unwrap(), 1.0);
-        assert!(s.apply_permutation(&[0, 0, 1, 2]).is_err());
-        assert!(s.apply_permutation(&[0, 1]).is_err());
+    fn sparse_gate_walks_match_dense_formula() {
+        use numerics::rng::sample_indices;
+        let mut rng = rng_from_seed(2024);
+        for _ in 0..300 {
+            let n = rng.gen_range(3..8);
+            let amps: Vec<Complex> = (0..1 << n).map(|_| random_complex(&mut rng)).collect();
+            let state = StateVector::from_raw(amps.clone());
+            let q = sample_indices(&mut rng, n, 3);
+            let (c1, c2, t) = (q[0], q[1], q[2]);
+            let m = [
+                [random_complex(&mut rng), random_complex(&mut rng)],
+                [random_complex(&mut rng), random_complex(&mut rng)],
+            ];
+
+            let mut s = state.clone();
+            s.apply_controlled(c1, t, &m).unwrap();
+            assert_eq!(s.amplitudes(), dense_controlled(&amps, &[c1], t, &m));
+
+            let mut s = state.clone();
+            s.apply_controlled2(c1, c2, t, &m).unwrap();
+            assert_eq!(s.amplitudes(), dense_controlled(&amps, &[c1, c2], t, &m));
+
+            let theta = rng.gen_range(-4.0..4.0);
+            let mut s = state.clone();
+            Gate::CPhase(c1, t, theta).apply(&mut s).unwrap();
+            let dense = dense_controlled(&amps, &[c1], t, &matrices::phase(theta));
+            assert_eq!(s.amplitudes(), dense);
+
+            let mut s = state.clone();
+            Gate::CZ(c1, t).apply(&mut s).unwrap();
+            let dense = dense_controlled(&amps, &[c1], t, &matrices::PAULI_Z);
+            assert_eq!(s.amplitudes(), dense);
+
+            let mut s = state.clone();
+            s.apply_swap(c1, t).unwrap();
+            let swapped: Vec<Complex> = (0..amps.len())
+                .map(|i| {
+                    let cleared = i & !((1 << c1) | (1 << t));
+                    amps[cleared | ((i >> c1) & 1) << t | ((i >> t) & 1) << c1]
+                })
+                .collect();
+            assert_eq!(s.amplitudes(), swapped);
+        }
+    }
+
+    #[test]
+    fn joint_measurement_equals_whole_register() {
+        let mut rng = rng_from_seed(8);
+        for seed in 0..20u64 {
+            // Three 8-amplitude slices of a 5-qubit register: high-qubit
+            // values 0, 1 and 3 live, 2 all zeros.
+            let highs = [0usize, 1, 3];
+            let mut slices: Vec<StateVector> = highs
+                .iter()
+                .map(|_| StateVector::from_raw((0..8).map(|_| random_complex(&mut rng)).collect()))
+                .collect();
+            let mut whole = vec![Complex::ZERO; 32];
+            for (slice, high) in slices.iter().zip(highs) {
+                whole[high * 8..][..8].copy_from_slice(slice.amplitudes());
+            }
+            let mut whole = StateVector::from_raw(whole);
+            let (mut rng_a, mut rng_b) = (rng_from_seed(seed), rng_from_seed(seed));
+            for q in 0..3 {
+                // The probability itself is summed in whole-register order.
+                assert_eq!(prob_one_joint(&slices, q), whole.prob_one(q).unwrap());
+                let joint = StateVector::measure_qubit_joint(&mut slices, q, &mut rng_a).unwrap();
+                assert_eq!(joint, whole.measure_qubit(q, &mut rng_b).unwrap());
+                for (slice, high) in slices.iter().zip(highs) {
+                    assert_eq!(slice.amplitudes(), &whole.amplitudes()[high * 8..][..8]);
+                }
+            }
+            assert!(StateVector::measure_qubit_joint(&mut slices, 3, &mut rng_a).is_err());
+        }
+    }
+
+    #[test]
+    fn split_moves_amplitudes_by_slice_index() {
+        let mut s = StateVector::zero(2);
+        s.apply_single(0, &matrices::HADAMARD).unwrap();
+        s.apply_single(1, &matrices::HADAMARD).unwrap();
+        let slices = s.split(&[1, 0, 1, 0], 2).unwrap();
+        let h = s.amplitude(0).unwrap();
+        let z = Complex::ZERO;
+        assert_eq!(slices[0].amplitudes(), [z, h, z, h]);
+        assert_eq!(slices[1].amplitudes(), [h, z, h, z]);
+        assert!(s.split(&[0, 0, 0], 1).is_err());
+        assert!(s.split(&[0, 0, 0, 2], 2).is_err());
     }
 
     #[test]

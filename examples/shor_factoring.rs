@@ -14,7 +14,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("{}", "-".repeat(72));
     let mut rng = rng_from_seed(11);
-    for n in [15u64, 21, 33, 35] {
+    for n in [15u64, 21, 33, 35, 55, 77] {
         let outcome = shor::factor(n, &mut rng, 60)?;
         let (_, classical_ops) = trial_division(n);
         println!(
@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!("\nNote: at these toy sizes trial division is trivially cheap — the");
     println!("point of the experiment is that the full quantum pipeline (phase");
-    println!("estimation over modular-multiplication unitaries, inverse QFT,");
-    println!("continued fractions) runs end-to-end and recovers correct factors.");
+    println!("estimation over modular exponentiation, inverse QFT, continued");
+    println!("fractions) runs end-to-end and recovers correct factors.");
     Ok(())
 }

@@ -38,6 +38,9 @@ cargo test -q
 echo "==> workspace tests"
 cargo test -q --release --workspace
 
+echo "==> smoke: shor_factoring (N up to 77)"
+timeout 60 cargo run --release --example shor_factoring
+
 echo "==> smoke: loadgen (TCP serving + cross-wire determinism)"
 timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 24 --workers 2
 
