@@ -2,9 +2,10 @@
 //!
 //! Every backend — CPU, quantum, oscillator, memcomputing — implements
 //! [`Accelerator`]; the host runtime ([`crate::host`]) owns them as trait
-//! objects and dispatches kernels. The CPU backend executes every kernel
-//! with a conventional classical algorithm, so there is always a correct
-//! (if slow) fallback and a von-Neumann baseline for every comparison.
+//! objects and dispatches kernels. The CPU backend supports every kernel
+//! (each family entry in [`crate::family`] carries a conventional
+//! classical algorithm for it), so there is always a correct (if slow)
+//! fallback and a von-Neumann baseline for every comparison.
 //!
 //! # Example
 //!
@@ -21,12 +22,9 @@
 //! # Ok::<(), accel::AccelError>(())
 //! ```
 
-use crate::family::{registry, BackendProfile};
-use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
+use crate::family::BackendProfile;
+use crate::kernel::{CostEstimate, Kernel, KernelExecution};
 use crate::AccelError;
-use mem::dpll::Dpll;
-use quantum::dna::{edit_distance, kmer_profile};
-use quantum::numtheory::trial_division;
 
 /// A device that can execute some subset of kernels.
 ///
@@ -68,21 +66,22 @@ pub trait Accelerator: Send {
     fn reseed(&mut self, _seed: u64) {}
 }
 
-/// The classical (von Neumann) reference backend.
-///
-/// Cost model: a fixed 1 ns per abstract operation (a generously fast
-/// classical core), so the *relative* scaling against the specialized
-/// backends is what shows up in reports.
+/// Seconds per abstract CPU operation: a generously fast classical core,
+/// so the *relative* scaling against the specialized backends is what
+/// shows up in reports.
+const CPU_SECONDS_PER_OP: f64 = 1e-9;
+
+/// Modelled core power draw in watts, used for energy estimates. A
+/// conservative 1 W scalar-core budget: generous next to the paper's
+/// 3 mW figure for a single 32 nm CMOS comparison *block*, but the CPU
+/// here stands in for a whole general-purpose core, not one datapath.
+const CPU_WATTS: f64 = 1.0;
+
+/// The classical (von Neumann) reference backend: every family has a
+/// conventional classical algorithm for it (see [`crate::family`]).
 #[derive(Debug, Clone)]
 pub struct CpuBackend {
     seed: u64,
-    /// Seconds per abstract operation.
-    pub seconds_per_op: f64,
-    /// Modelled core power draw in watts, used for energy estimates. A
-    /// conservative 1 W scalar-core budget: generous next to the paper's
-    /// 3 mW figure for a single 32 nm CMOS comparison *block*, but the CPU
-    /// here stands in for a whole general-purpose core, not one datapath.
-    pub watts: f64,
 }
 
 impl CpuBackend {
@@ -90,88 +89,28 @@ impl CpuBackend {
     /// fallbacks.
     #[must_use]
     pub fn new(seed: u64) -> Self {
-        CpuBackend {
-            seed,
-            seconds_per_op: 1e-9,
-            watts: 1.0,
-        }
+        CpuBackend { seed }
     }
 
-    /// The cost-relevant parameters of this backend, for registry-served
-    /// families.
-    fn profile(&self) -> BackendProfile {
+    fn profile(&self) -> BackendProfile<'static> {
         BackendProfile::Cpu {
-            seconds_per_op: self.seconds_per_op,
-            watts: self.watts,
-        }
-    }
-
-    /// Predicted abstract operation count for `kernel` — the calibrated
-    /// asymptotics of the classical algorithms in [`CpuBackend::execute`].
-    fn predicted_ops(&self, kernel: &Kernel) -> f64 {
-        match kernel {
-            // Trial division probes odd candidates up to √n: ~√n/2 tries.
-            Kernel::Factor { n } => (*n as f64).sqrt() / 2.0 + 1.0,
-            // Linear scan: expected (N+1)/(M+1) probes before a hit.
-            // Computed in f64 (capped) so absurd qubit counts estimate to a
-            // huge-but-finite cost instead of overflowing a shift.
-            Kernel::Search { n_qubits, marked } => {
-                let space = ((*n_qubits).min(300) as f64).exp2();
-                (space + 1.0) / (marked.len().max(1) as f64 + 1.0)
-            }
-            // Profile builds over both sequences plus dot products across
-            // the 4^k k-mer space (capped as above).
-            Kernel::DnaSimilarity { a, b, k } => {
-                (a.len() + b.len()) as f64 + 3.0 * ((*k).min(150) as f64 * 2.0).exp2()
-            }
-            // DPLL on satisfiable planted instances stays near-polynomial:
-            // roughly one unit of work per clause per √vars of depth.
-            Kernel::SolveSat { formula } => {
-                formula.len() as f64 * (1.0 + (formula.n_vars() as f64).sqrt())
-            }
-            // Subtract, abs, compare.
-            Kernel::Compare { .. } => 3.0,
-            // Registry families are estimated through their family entry
-            // (see `estimate` below), never through this table.
-            Kernel::Family(_) => 0.0,
-        }
-    }
-
-    fn report(&self, result: KernelResult, operations: u64) -> KernelExecution {
-        KernelExecution {
-            result,
-            cost: CostReport {
-                device_seconds: operations as f64 * self.seconds_per_op,
-                operations,
-            },
+            seconds_per_op: CPU_SECONDS_PER_OP,
+            watts: CPU_WATTS,
         }
     }
 }
 
 impl Accelerator for CpuBackend {
     fn name(&self) -> &str {
-        "cpu"
+        self.profile().backend_name()
     }
 
-    fn supports(&self, _kernel: &Kernel) -> bool {
-        true
+    fn supports(&self, kernel: &Kernel) -> bool {
+        self.profile().supports(kernel)
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        // Registry-served families carry their own per-profile cost model;
-        // legacy families return None here and fall through to the native
-        // asymptotics table (byte-identical to the pre-registry planner).
-        if let Some(estimate) = registry()
-            .family_of(kernel)
-            .estimate(kernel, &self.profile())
-        {
-            return Some(estimate);
-        }
-        let seconds = self.predicted_ops(kernel) * self.seconds_per_op;
-        Some(CostEstimate {
-            device_seconds: seconds,
-            energy_joules: seconds * self.watts,
-        })
+        self.profile().estimate(kernel)
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -179,82 +118,14 @@ impl Accelerator for CpuBackend {
     }
 
     fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
-        match kernel {
-            Kernel::Factor { n } => {
-                let (factor, ops) = trial_division(*n);
-                let f = factor.ok_or_else(|| {
-                    AccelError::backend(
-                        "cpu",
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidInput,
-                            format!("{n} has no nontrivial factor"),
-                        ),
-                    )
-                })?;
-                Ok(self.report(KernelResult::Factors(f, n / f), ops))
-            }
-            Kernel::Search { n_qubits, marked } => {
-                // Linear scan: expected N/2 probes; executed deterministically.
-                let space = 1usize << n_qubits;
-                let mut probes = 0u64;
-                let mut found = None;
-                for item in 0..space {
-                    probes += 1;
-                    if marked.contains(&item) {
-                        found = Some(item);
-                        break;
-                    }
-                }
-                let item = found.ok_or_else(|| {
-                    AccelError::backend(
-                        "cpu",
-                        std::io::Error::new(
-                            std::io::ErrorKind::NotFound,
-                            "no marked item in search space",
-                        ),
-                    )
-                })?;
-                Ok(self.report(KernelResult::Found(item), probes))
-            }
-            Kernel::DnaSimilarity { a, b, k } => {
-                // Classical cosine similarity of k-mer profiles, squared to
-                // match the quantum overlap² convention.
-                let pa = kmer_profile(a, *k).map_err(|e| AccelError::backend("cpu", e))?;
-                let pb = kmer_profile(b, *k).map_err(|e| AccelError::backend("cpu", e))?;
-                let dot: f64 = pa.iter().zip(&pb).map(|(x, y)| x * y).sum();
-                let na: f64 = pa.iter().map(|x| x * x).sum::<f64>().sqrt();
-                let nb: f64 = pb.iter().map(|x| x * x).sum::<f64>().sqrt();
-                let cos = dot / (na * nb);
-                // Op count: profile builds + dot products, plus the edit
-                // distance a classical pipeline would typically also run.
-                let _ = edit_distance(&a[..a.len().min(16)], &b[..b.len().min(16)]);
-                let ops = (a.len() + b.len() + 3 * pa.len()) as u64;
-                Ok(self.report(KernelResult::Similarity(cos * cos), ops))
-            }
-            Kernel::SolveSat { formula } => {
-                let result = Dpll::new(10_000_000).solve(formula);
-                let ops = result.decisions + result.propagations;
-                Ok(self.report(
-                    KernelResult::SatSolution(result.solution.map(|a| a.to_bools())),
-                    ops.max(1),
-                ))
-            }
-            Kernel::Compare { x, y } => {
-                let _ = self.seed;
-                Ok(self.report(KernelResult::Distance((x - y).abs()), 3))
-            }
-            Kernel::Family(_) => {
-                registry()
-                    .family_of(kernel)
-                    .execute(kernel, &self.profile(), self.seed)
-            }
-        }
+        self.profile().execute(kernel, self.seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelResult;
     use mem::generators::planted_3sat;
 
     #[test]
@@ -330,8 +201,14 @@ mod tests {
 
     #[test]
     fn cost_scales_with_ops() {
-        let cpu = CpuBackend::new(1);
-        let r = cpu.report(KernelResult::Found(0), 1000);
-        assert!((r.cost.device_seconds - 1e-6).abs() < 1e-18);
+        let mut cpu = CpuBackend::new(1);
+        let run = cpu
+            .execute(&Kernel::Search {
+                n_qubits: 10,
+                marked: vec![999],
+            })
+            .unwrap();
+        assert_eq!(run.cost.operations, 1000);
+        assert!((run.cost.device_seconds - 1e-6).abs() < 1e-18);
     }
 }

@@ -12,6 +12,11 @@
 //!   [`portfolio_pool`], where it gives hedged dispatch a third SAT path
 //!   to race against the DMM and the CPU's DPLL.
 //!
+//! Each backend is a name, a [`BackendProfile`] and a seed source. How a
+//! kernel is supported, costed and run on a backend class lives in the
+//! kernel's [`crate::family`] entry, which the backend hands the kernel
+//! and its profile to.
+//!
 //! # Example
 //!
 //! ```no_run
@@ -27,20 +32,14 @@
 //! ```
 
 use crate::accelerator::Accelerator;
-use crate::family::{registry, BackendProfile};
-use crate::kernel::{CostEstimate, CostReport, Kernel, KernelExecution, KernelResult};
+use crate::family::BackendProfile;
+use crate::kernel::{CostEstimate, Kernel, KernelExecution};
 use crate::AccelError;
 use mem::dmm::{DmmParams, DmmSolver};
 use mem::walksat::{WalkSat, WalkSatParams};
 use numerics::rng::SeedStream;
 use osc::norms::{NormRegime, OscillatorDistance};
 use quantum::microarch::TimingModel;
-use quantum::{dna, grover, shor};
-
-const QUANTUM_NAME: &str = "quantum";
-const OSC_NAME: &str = "oscillator";
-const MEM_NAME: &str = "memcomputing";
-const WALKSAT_NAME: &str = "walksat";
 
 /// Oscillator FAST block power: "0.936 mW, significantly smaller than
 /// … 3 mW" for the 32 nm CMOS equivalent (paper §III; see
@@ -48,9 +47,16 @@ const WALKSAT_NAME: &str = "walksat";
 /// model).
 const OSC_BLOCK_WATTS: f64 = 0.936e-3;
 
+/// Oscillator readout window per comparison: one 32-cycle window at a
+/// ~20 MHz oscillation.
+const OSC_WINDOW_SECONDS: f64 = 32.0 / 20e6;
+
 /// Modelled quantum control-plane power (cryo drive + readout
 /// electronics per active chip) for energy estimates.
 const QUANTUM_CONTROL_WATTS: f64 = 25.0;
+
+/// Swap-test shots per DNA similarity on the quantum backend.
+const QUANTUM_DNA_SHOTS: usize = 500;
 
 /// Modelled memcomputing crossbar power for energy estimates.
 const MEM_CELL_WATTS: f64 = 10e-3;
@@ -120,13 +126,20 @@ pub fn portfolio_pool(
     ])
 }
 
+/// Draws one seed from `seeds` when `profile` can serve `kernel`, so an
+/// unsupported request leaves the stream where it was.
+fn seed_if_supported(profile: &BackendProfile<'_>, kernel: &Kernel, seeds: &mut SeedStream) -> u64 {
+    if profile.supports(kernel) {
+        seeds.next_seed()
+    } else {
+        0
+    }
+}
+
 /// The quantum accelerator (Fig. 2's stack over the state-vector chip).
 #[derive(Debug, Clone)]
 pub struct QuantumBackend {
     seeds: SeedStream,
-    timing: TimingModel,
-    /// Swap-test shots used for DNA similarity.
-    pub dna_shots: usize,
 }
 
 impl QuantumBackend {
@@ -135,43 +148,21 @@ impl QuantumBackend {
     pub fn new(seed: u64) -> Self {
         QuantumBackend {
             seeds: SeedStream::new(seed),
-            timing: TimingModel::default(),
-            dna_shots: 500,
         }
     }
 
-    fn gate_time(&self, ops: u64) -> f64 {
-        // Coarse device-time model: every abstract quantum op at the
-        // two-qubit latency.
-        ops as f64 * self.timing.two_qubit_ns * 1e-9
-    }
-
-    /// Predicted gate count for `kernel`, mirroring the op accounting in
-    /// [`Accelerator::execute`] but computed without touching the RNG.
-    fn predicted_ops(&self, kernel: &Kernel) -> Option<f64> {
-        match kernel {
-            // Shor is dominated by modular exponentiation over ~2b control
-            // bits: O(b³) two-qubit-equivalents per order-finding attempt,
-            // and typically a couple of attempts before a good base.
-            Kernel::Factor { n } => {
-                let bits = (64 - n.leading_zeros()) as f64;
-                Some(2.0 * 8.0 * bits.powi(3))
-            }
-            // Grover's iteration count is known in advance, so the gate
-            // count is exactly the one `execute` reports.
-            Kernel::Search { n_qubits, marked } => {
-                let iterations = grover::optimal_iterations(*n_qubits, marked.len());
-                Some((iterations * 2 * (n_qubits + 1)) as f64)
-            }
-            Kernel::DnaSimilarity { k, .. } => Some((self.dna_shots * 6 * k) as f64),
-            _ => None,
+    fn profile(&self) -> BackendProfile<'static> {
+        BackendProfile::Quantum {
+            timing: TimingModel::default(),
+            control_watts: QUANTUM_CONTROL_WATTS,
+            dna_shots: QUANTUM_DNA_SHOTS,
         }
     }
 }
 
 impl Accelerator for QuantumBackend {
     fn name(&self) -> &str {
-        QUANTUM_NAME
+        self.profile().backend_name()
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -179,80 +170,24 @@ impl Accelerator for QuantumBackend {
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(
-            kernel,
-            Kernel::Factor { .. } | Kernel::Search { .. } | Kernel::DnaSimilarity { .. }
-        )
+        self.profile().supports(kernel)
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        let ops = self.predicted_ops(kernel)?;
-        let mut seconds = ops * self.timing.two_qubit_ns * 1e-9;
-        if let Kernel::DnaSimilarity { .. } = kernel {
-            seconds += self.dna_shots as f64 * self.timing.measure_ns * 1e-9;
-        }
-        Some(CostEstimate {
-            device_seconds: seconds,
-            energy_joules: seconds * QUANTUM_CONTROL_WATTS,
-        })
+        self.profile().estimate(kernel)
     }
 
     fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
-        let mut rng = self.seeds.next_rng();
-        match kernel {
-            Kernel::Factor { n } => {
-                let outcome = shor::factor(*n, &mut rng, 50)
-                    .map_err(|e| AccelError::backend(QUANTUM_NAME, e))?;
-                let ops = outcome.quantum_ops.max(1);
-                Ok(KernelExecution {
-                    result: KernelResult::Factors(outcome.factors.0, outcome.factors.1),
-                    cost: CostReport {
-                        device_seconds: self.gate_time(ops),
-                        operations: ops,
-                    },
-                })
-            }
-            Kernel::Search { n_qubits, marked } => {
-                let run = grover::search(*n_qubits, marked, &mut rng)
-                    .map_err(|e| AccelError::backend(QUANTUM_NAME, e))?;
-                // Oracle + diffusion per iteration, ~2(n+1) gates each.
-                let ops = (run.iterations * 2 * (n_qubits + 1)) as u64;
-                Ok(KernelExecution {
-                    result: KernelResult::Found(run.found),
-                    cost: CostReport {
-                        device_seconds: self.gate_time(ops),
-                        operations: ops,
-                    },
-                })
-            }
-            Kernel::DnaSimilarity { a, b, k } => {
-                let s = dna::quantum_similarity(a, b, *k, self.dna_shots, &mut rng)
-                    .map_err(|e| AccelError::backend(QUANTUM_NAME, e))?;
-                // Per shot: 2k-qubit swap test ≈ 3·2k CSWAP-equivalents.
-                let ops = (self.dna_shots * 6 * k) as u64;
-                Ok(KernelExecution {
-                    result: KernelResult::Similarity(s),
-                    cost: CostReport {
-                        device_seconds: self.gate_time(ops)
-                            + self.dna_shots as f64 * self.timing.measure_ns * 1e-9,
-                        operations: ops,
-                    },
-                })
-            }
-            other => Err(AccelError::Unsupported {
-                backend: QUANTUM_NAME.into(),
-                kernel: other.describe(),
-            }),
-        }
+        // One seed per execution, supported or not.
+        let seed = self.seeds.next_seed();
+        self.profile().execute(kernel, seed)
     }
 }
 
-/// The coupled-oscillator analog comparison backend.
+/// The coupled-oscillator analog backend.
 #[derive(Debug, Clone)]
 pub struct OscillatorBackend {
     distance: OscillatorDistance,
-    /// Readout window time per comparison (seconds).
-    window_seconds: f64,
 }
 
 impl OscillatorBackend {
@@ -264,20 +199,14 @@ impl OscillatorBackend {
     pub fn new() -> Result<Self, AccelError> {
         let config = NormRegime::Shallow.config();
         let distance = OscillatorDistance::calibrate(config, 0.62, 0.02, 9)
-            .map_err(|e| AccelError::backend(OSC_NAME, e))?;
-        // One 32-cycle readout window at a ~20 MHz oscillation.
-        let window_seconds = 32.0 / 20e6;
-        Ok(OscillatorBackend {
-            distance,
-            window_seconds,
-        })
+            .map_err(|e| AccelError::backend("oscillator", e))?;
+        Ok(OscillatorBackend { distance })
     }
 
-    /// The cost-relevant parameters of this backend, for registry-served
-    /// families.
-    fn profile(&self) -> BackendProfile {
+    fn profile(&self) -> BackendProfile<'_> {
         BackendProfile::Oscillator {
-            window_seconds: self.window_seconds,
+            distance: &self.distance,
+            window_seconds: OSC_WINDOW_SECONDS,
             block_watts: OSC_BLOCK_WATTS,
         }
     }
@@ -285,51 +214,20 @@ impl OscillatorBackend {
 
 impl Accelerator for OscillatorBackend {
     fn name(&self) -> &str {
-        OSC_NAME
+        self.profile().backend_name()
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(kernel, Kernel::Compare { .. })
-            || registry()
-                .family_of(kernel)
-                .supports(kernel, &self.profile())
+        self.profile().supports(kernel)
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        // Exactly one readout window per comparison — the one cost this
-        // backend ever reports — at the paper's FAST block power.
-        // Registry-served families bring their own per-profile cost model.
-        match kernel {
-            Kernel::Compare { .. } => Some(CostEstimate {
-                device_seconds: self.window_seconds,
-                energy_joules: self.window_seconds * OSC_BLOCK_WATTS,
-            }),
-            _ => registry()
-                .family_of(kernel)
-                .estimate(kernel, &self.profile()),
-        }
+        self.profile().estimate(kernel)
     }
 
     fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
-        match kernel {
-            Kernel::Compare { x, y } => Ok(KernelExecution {
-                result: KernelResult::Distance(
-                    self.distance.distance(x.clamp(0.0, 1.0), y.clamp(0.0, 1.0)),
-                ),
-                cost: CostReport {
-                    device_seconds: self.window_seconds,
-                    operations: 1,
-                },
-            }),
-            // The oscillator substrate is deterministic — no seed state.
-            Kernel::Family(_) => registry()
-                .family_of(kernel)
-                .execute(kernel, &self.profile(), 0),
-            other => Err(AccelError::Unsupported {
-                backend: OSC_NAME.into(),
-                kernel: other.describe(),
-            }),
-        }
+        // The oscillator substrate is deterministic — no seed state.
+        self.profile().execute(kernel, 0)
     }
 }
 
@@ -337,7 +235,6 @@ impl Accelerator for OscillatorBackend {
 #[derive(Debug, Clone)]
 pub struct MemBackend {
     seeds: SeedStream,
-    solver: DmmSolver,
 }
 
 impl MemBackend {
@@ -346,15 +243,12 @@ impl MemBackend {
     pub fn new(seed: u64) -> Self {
         MemBackend {
             seeds: SeedStream::new(seed),
-            solver: DmmSolver::new(DmmParams::default()),
         }
     }
 
-    /// The cost-relevant parameters of this backend, for registry-served
-    /// families.
-    fn profile(&self) -> BackendProfile {
+    fn profile(&self) -> BackendProfile<'static> {
         BackendProfile::Mem {
-            dt: self.solver.params().dt,
+            solver: DmmSolver::new(DmmParams::default()),
             cell_watts: MEM_CELL_WATTS,
         }
     }
@@ -362,7 +256,7 @@ impl MemBackend {
 
 impl Accelerator for MemBackend {
     fn name(&self) -> &str {
-        MEM_NAME
+        self.profile().backend_name()
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -370,63 +264,17 @@ impl Accelerator for MemBackend {
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(kernel, Kernel::SolveSat { .. })
-            || registry()
-                .family_of(kernel)
-                .supports(kernel, &self.profile())
+        self.profile().supports(kernel)
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        match kernel {
-            Kernel::SolveSat { formula } => {
-                // The DMM's trajectory length grows roughly linearly in
-                // instance size on satisfiable planted formulas; predicted
-                // device time is steps · dt at the 1 ns RC time unit.
-                let steps = 50.0 * (formula.n_vars() as f64 + formula.len() as f64);
-                let seconds = steps * self.solver.params().dt * 1e-9;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * MEM_CELL_WATTS,
-                })
-            }
-            // Registry-served families bring their own per-profile model.
-            _ => registry()
-                .family_of(kernel)
-                .estimate(kernel, &self.profile()),
-        }
+        self.profile().estimate(kernel)
     }
 
     fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
-        match kernel {
-            Kernel::SolveSat { formula } => {
-                let seed = self.seeds.next_seed();
-                let outcome = self
-                    .solver
-                    .solve(formula, seed)
-                    .map_err(|e| AccelError::backend(MEM_NAME, e))?;
-                Ok(KernelExecution {
-                    result: KernelResult::SatSolution(
-                        outcome.solution.as_ref().map(|a| a.to_bools()),
-                    ),
-                    cost: CostReport {
-                        // The DMM's "device time" is its simulated physical
-                        // time, scaled to an RC time unit of 1 ns.
-                        device_seconds: outcome.time * 1e-9,
-                        operations: outcome.steps,
-                    },
-                })
-            }
-            Kernel::Family(_) => {
-                let seed = self.seeds.next_seed();
-                registry()
-                    .family_of(kernel)
-                    .execute(kernel, &self.profile(), seed)
-            }
-            other => Err(AccelError::Unsupported {
-                backend: MEM_NAME.into(),
-                kernel: other.describe(),
-            }),
-        }
+        let profile = self.profile();
+        let seed = seed_if_supported(&profile, kernel, &mut self.seeds);
+        profile.execute(kernel, seed)
     }
 }
 
@@ -442,7 +290,6 @@ impl Accelerator for MemBackend {
 #[derive(Debug, Clone)]
 pub struct WalkSatBackend {
     seeds: SeedStream,
-    solver: WalkSat,
 }
 
 impl WalkSatBackend {
@@ -451,14 +298,21 @@ impl WalkSatBackend {
     pub fn new(seed: u64) -> Self {
         WalkSatBackend {
             seeds: SeedStream::new(seed),
+        }
+    }
+
+    fn profile(&self) -> BackendProfile<'static> {
+        BackendProfile::WalkSat {
             solver: WalkSat::new(WalkSatParams::default()),
+            flip_seconds: WALKSAT_FLIP_SECONDS,
+            watts: WALKSAT_ENGINE_WATTS,
         }
     }
 }
 
 impl Accelerator for WalkSatBackend {
     fn name(&self) -> &str {
-        WALKSAT_NAME
+        self.profile().backend_name()
     }
 
     fn reseed(&mut self, seed: u64) {
@@ -466,56 +320,24 @@ impl Accelerator for WalkSatBackend {
     }
 
     fn supports(&self, kernel: &Kernel) -> bool {
-        matches!(kernel, Kernel::SolveSat { .. })
+        self.profile().supports(kernel)
     }
 
     fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
-        match kernel {
-            Kernel::SolveSat { formula } => {
-                // Local search on satisfiable instances near the planted
-                // ratio needs on the order of a few flips per variable per
-                // clause before converging; predicted device time is that
-                // flip count at the pipelined flip cadence.
-                let flips = 8.0 * formula.n_vars() as f64 * formula.len() as f64;
-                let seconds = flips * WALKSAT_FLIP_SECONDS;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * WALKSAT_ENGINE_WATTS,
-                })
-            }
-            _ => None,
-        }
+        self.profile().estimate(kernel)
     }
 
     fn execute(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
-        match kernel {
-            Kernel::SolveSat { formula } => {
-                let seed = self.seeds.next_seed();
-                let outcome = self.solver.solve(formula, seed);
-                Ok(KernelExecution {
-                    result: KernelResult::SatSolution(
-                        outcome
-                            .solution
-                            .as_ref()
-                            .map(mem::assignment::Assignment::to_bools),
-                    ),
-                    cost: CostReport {
-                        device_seconds: outcome.flips.max(1) as f64 * WALKSAT_FLIP_SECONDS,
-                        operations: outcome.flips.max(1),
-                    },
-                })
-            }
-            other => Err(AccelError::Unsupported {
-                backend: WALKSAT_NAME.into(),
-                kernel: other.describe(),
-            }),
-        }
+        let profile = self.profile();
+        let seed = seed_if_supported(&profile, kernel, &mut self.seeds);
+        profile.execute(kernel, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::KernelResult;
     use mem::generators::planted_3sat;
 
     #[test]

@@ -15,20 +15,25 @@
 //! * **canonical form + two-level canonical key**
 //!   ([`KernelFamily::canonicalize`], [`KernelFamily::canonical_key`] —
 //!   the exact byte streams formerly hashed in `admission::canonical`),
-//! * **cost model per backend class** ([`KernelFamily::estimate`] against
-//!   a [`BackendProfile`]),
-//! * **execution** on the backend classes it supports, and
+//! * **cost model per backend class** ([`KernelFamily::supports`] and
+//!   [`KernelFamily::estimate`] against a [`BackendProfile`]),
+//! * **execution** on every backend class it supports
+//!   ([`KernelFamily::execute`]), and
 //! * **wire body codec** for the protocol-v6 generic family frame
 //!   ([`KernelFamily::encode_body`] / [`KernelFamily::decode_body`] and
 //!   the result-side pair).
 //!
+//! The backends themselves hold no per-kernel logic: each is a name, a
+//! [`BackendProfile`] and a seed source, and its `Accelerator` methods
+//! hand the kernel and profile to the kernel's entry here.
+//!
 //! The five legacy families (factor, search, DNA similarity, SAT, analog
-//! compare) are registry entries whose canonical keys and wire frames are
-//! **byte-identical** to the pre-registry enum code — `tests/family_registry.rs`
-//! pins every observable against goldens captured before the refactor.
-//! They keep their native v1 wire tags; only *new* families (coloring,
-//! QUBO) travel in the generic family frame, which is why old peers keep
-//! decoding old traffic unchanged.
+//! compare) are registry entries whose canonical keys, wire frames, cost
+//! estimates and per-seed execution results are **byte-identical** to the
+//! code they replaced — `tests/family_registry.rs` pins every observable
+//! against frozen goldens. They keep their native v1 wire tags; only *new*
+//! families (coloring, QUBO) travel in the generic family frame, which is
+//! why old peers keep decoding old traffic unchanged.
 //!
 //! # The two new families
 //!
@@ -50,18 +55,27 @@
 //! spec variant, append a `(tag, name)` row to [`FAMILY_TAGS`], register
 //! the entry in [`FamilyRegistry::family_of`] and the `REGISTRY` entry
 //! list, then bless the tag with `cargo run -p lint -- --bless-families`.
-//! No other crate needs a new match: admission, the planner, the wire
-//! codec, the router, and the server all go through the registry.
+//! No backend or other crate needs a new match: the backends, admission,
+//! the planner, the wire codec, the router, and the server all go through
+//! the registry.
 
 use crate::kernel::{
-    CostEstimate, CostReport, InvalidKernel, Kernel, KernelClass, KernelExecution, KernelResult,
+    CostEstimate, CostReport, InvalidKernel, Kernel, KernelExecution, KernelResult,
 };
 use crate::AccelError;
+use mem::assignment::Assignment;
 use mem::cnf::{Clause, Formula};
+use mem::dmm::DmmSolver;
+use mem::dpll::Dpll;
 use mem::maxsat::MaxSatDmmParams;
 use mem::qubo::Qubo;
+use mem::walksat::WalkSat;
 use numerics::rng::{rng_from_seed, Rng};
 use osc::coloring::{color_graph, ColoringConfig};
+use osc::norms::OscillatorDistance;
+use quantum::microarch::TimingModel;
+use quantum::numtheory::trial_division;
+use quantum::{dna, grover, shor};
 use std::collections::BTreeMap;
 
 /// FNV-1a offset basis (the same constants the load generator uses for
@@ -228,16 +242,16 @@ pub enum FamilyResult {
     },
 }
 
-/// The cost-relevant parameters of one backend *class*, handed to the
-/// registry so family entries can estimate and execute without depending
-/// on concrete backend types.
+/// Everything cost-relevant about one backend *class*: the state every
+/// family entry needs to decide support, estimate and execute, without
+/// depending on concrete backend types.
 ///
-/// Legacy families return `None`/`false` for every profile — their
-/// backends keep their native execution arms (byte-identity with the
-/// pre-registry code). New families are served exclusively through these
-/// profiles.
+/// A backend builds its profile for every call — the planner asks every
+/// backend for an estimate of every job — so a profile is cheap to make:
+/// plain numbers, `Copy` solvers, and the oscillator's calibration
+/// *borrowed* from its backend, never cloned or re-run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BackendProfile {
+pub enum BackendProfile<'a> {
     /// The classical reference core.
     Cpu {
         /// Seconds per abstract operation.
@@ -245,8 +259,19 @@ pub enum BackendProfile {
         /// Modelled core power draw in watts.
         watts: f64,
     },
+    /// The state-vector quantum chip behind the Fig. 2 stack.
+    Quantum {
+        /// Gate and measurement latencies of the micro-architecture.
+        timing: TimingModel,
+        /// Modelled control-plane power (watts).
+        control_watts: f64,
+        /// Swap-test shots per DNA similarity.
+        dna_shots: usize,
+    },
     /// The coupled-oscillator array.
     Oscillator {
+        /// The calibrated distance primitive.
+        distance: &'a OscillatorDistance,
         /// Readout window time per measurement (seconds).
         window_seconds: f64,
         /// Per-block power at the paper's FAST figure (watts).
@@ -254,22 +279,121 @@ pub enum BackendProfile {
     },
     /// The digital-memcomputing crossbar.
     Mem {
-        /// Integration step in RC time units.
-        dt: f64,
+        /// The DMM solver (its integration step sets device time).
+        solver: DmmSolver,
         /// Modelled crossbar power (watts).
         cell_watts: f64,
     },
+    /// The WalkSAT stochastic-local-search engine.
+    WalkSat {
+        /// The local-search solver.
+        solver: WalkSat,
+        /// Modelled seconds per variable flip.
+        flip_seconds: f64,
+        /// Modelled engine power (watts).
+        watts: f64,
+    },
 }
 
-impl BackendProfile {
-    /// The backend name this profile describes, for error reports.
+impl BackendProfile<'_> {
+    /// The name of the backend this profile describes.
     #[must_use]
     pub fn backend_name(&self) -> &'static str {
         match self {
             BackendProfile::Cpu { .. } => "cpu",
+            BackendProfile::Quantum { .. } => "quantum",
             BackendProfile::Oscillator { .. } => "oscillator",
             BackendProfile::Mem { .. } => "memcomputing",
+            BackendProfile::WalkSat { .. } => "walksat",
         }
+    }
+
+    /// Whether this backend class can serve `kernel`, per its family entry.
+    #[must_use]
+    pub(crate) fn supports(&self, kernel: &Kernel) -> bool {
+        registry().family_of(kernel).supports(kernel, self)
+    }
+
+    /// The family entry's a-priori cost of `kernel` on this backend class.
+    #[must_use]
+    pub(crate) fn estimate(&self, kernel: &Kernel) -> Option<CostEstimate> {
+        registry().family_of(kernel).estimate(kernel, self)
+    }
+
+    /// Runs `kernel` on this backend class through its family entry,
+    /// deterministically in `seed`.
+    pub(crate) fn execute(
+        &self,
+        kernel: &Kernel,
+        seed: u64,
+    ) -> Result<KernelExecution, AccelError> {
+        registry().family_of(kernel).execute(kernel, self, seed)
+    }
+
+    /// Device time of `ops` native operations of this class: CPU
+    /// operations, quantum gates at the two-qubit latency, oscillator
+    /// readout windows, DMM integration steps at the 1 ns RC time unit,
+    /// or WalkSAT flips.
+    fn seconds_for(&self, ops: f64) -> f64 {
+        match self {
+            BackendProfile::Cpu { seconds_per_op, .. } => ops * seconds_per_op,
+            BackendProfile::Quantum { timing, .. } => ops * timing.two_qubit_ns * 1e-9,
+            BackendProfile::Oscillator { window_seconds, .. } => ops * window_seconds,
+            BackendProfile::Mem { solver, .. } => ops * solver.params().dt * 1e-9,
+            BackendProfile::WalkSat { flip_seconds, .. } => ops * flip_seconds,
+        }
+    }
+
+    /// Modelled power draw of this class (watts).
+    fn watts(&self) -> f64 {
+        match *self {
+            BackendProfile::Cpu { watts, .. } | BackendProfile::WalkSat { watts, .. } => watts,
+            BackendProfile::Quantum { control_watts, .. } => control_watts,
+            BackendProfile::Oscillator { block_watts, .. } => block_watts,
+            BackendProfile::Mem { cell_watts, .. } => cell_watts,
+        }
+    }
+
+    /// The estimate for `ops` native operations.
+    fn predict(&self, ops: f64) -> CostEstimate {
+        estimate_at(self.seconds_for(ops), self.watts())
+    }
+
+    /// A completed run of `ops` native operations.
+    fn report(&self, result: KernelResult, ops: u64) -> KernelExecution {
+        ran(result, self.seconds_for(ops as f64), ops)
+    }
+
+    /// A substrate failure on this backend class.
+    fn error<E: std::error::Error + Send + Sync + 'static>(&self, source: E) -> AccelError {
+        AccelError::backend(self.backend_name(), source)
+    }
+}
+
+/// The error for a kernel `profile` cannot serve.
+fn unsupported(kernel: &Kernel, profile: &BackendProfile<'_>) -> AccelError {
+    AccelError::Unsupported {
+        backend: profile.backend_name().into(),
+        kernel: kernel.describe(),
+    }
+}
+
+/// A prediction of `seconds` of device time drawn at `watts`.
+fn estimate_at(seconds: f64, watts: f64) -> CostEstimate {
+    CostEstimate {
+        device_seconds: seconds,
+        energy_joules: seconds * watts,
+    }
+}
+
+/// A completed run: its result, modelled device time and op count.
+fn ran(result: KernelResult, device_seconds: f64, operations: u64) -> KernelExecution {
+    KernelExecution {
+        result,
+        cost: CostReport {
+            device_seconds,
+            operations,
+        },
     }
 }
 
@@ -499,21 +623,19 @@ impl<'a> BodyReader<'a> {
 ///
 /// Every tier consults the entry for a kernel via
 /// [`FamilyRegistry::family_of`] instead of matching on the enum:
-/// `Kernel::{describe,validate,class}` delegate here, `admission`
+/// `Kernel::{describe,validate}` delegate here, `admission`
 /// canonicalizes and keys through here (and `cluster::router`'s routing
-/// hash therefore flows through family canonicalization), backends
-/// estimate/execute registry families through [`BackendProfile`]s, the
-/// runtime's hedge gate asks [`KernelFamily::hedgeable`], and the wire
-/// crate's v6 generic frame calls the body codecs.
+/// hash therefore flows through family canonicalization), every backend
+/// decides support, estimates and executes through its
+/// [`BackendProfile`], the runtime's hedge gate asks
+/// [`KernelFamily::hedgeable`], and the wire crate's v6 generic frame
+/// calls the body codecs.
 pub trait KernelFamily: Send + Sync {
     /// The stable wire tag (a [`FAMILY_TAGS`] row; append-only, linted).
     fn tag(&self) -> u16;
 
     /// The stable family name (the other half of the [`FAMILY_TAGS`] row).
     fn name(&self) -> &'static str;
-
-    /// The coarse dispatch class every kernel of this family belongs to.
-    fn class(&self) -> KernelClass;
 
     /// A short human-readable description (used in errors and reports).
     fn describe(&self, kernel: &Kernel) -> String;
@@ -543,20 +665,13 @@ pub trait KernelFamily: Send + Sync {
         false
     }
 
-    /// Whether a backend with this profile can serve the family. Legacy
-    /// families return `false` — their backends keep native support arms.
-    fn supports(&self, kernel: &Kernel, profile: &BackendProfile) -> bool {
-        let _ = (kernel, profile);
-        false
-    }
+    /// Whether a backend with this profile can serve the kernel.
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool;
 
     /// A-priori cost of executing `kernel` on a backend with `profile`,
     /// or `None` when the profile cannot serve the family. Must be a pure
     /// function of `(kernel, profile)` so planning stays deterministic.
-    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile) -> Option<CostEstimate> {
-        let _ = (kernel, profile);
-        None
-    }
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate>;
 
     /// Executes `kernel` on a backend with `profile`, deterministically
     /// in `seed`.
@@ -568,15 +683,9 @@ pub trait KernelFamily: Send + Sync {
     fn execute(
         &self,
         kernel: &Kernel,
-        profile: &BackendProfile,
+        profile: &BackendProfile<'_>,
         seed: u64,
-    ) -> Result<KernelExecution, AccelError> {
-        let _ = seed;
-        Err(AccelError::Unsupported {
-            backend: profile.backend_name().into(),
-            kernel: self.describe(kernel),
-        })
-    }
+    ) -> Result<KernelExecution, AccelError>;
 
     /// Encodes the kernel's spec as a generic family-frame body.
     ///
@@ -759,10 +868,12 @@ pub fn decode_result_body(tag: u16, body: &[u8]) -> Result<KernelResult, FamilyC
 }
 
 // ---------------------------------------------------------------------------
-// Legacy families. Their describe/validate/class/canonicalize/canonical_key
-// logic is the pre-registry enum code moved verbatim — the byte streams and
-// strings are frozen by the goldens in tests/family_registry.rs. Backend
-// support and wire framing stay native, so every trait default applies.
+// Legacy families. Their describe/validate/canonicalize/canonical_key logic
+// is the pre-registry enum code moved verbatim, and their cost models and
+// execution took over from the former backend match arms — the byte
+// streams, strings, estimate bits and per-seed results are frozen by the
+// goldens in tests/family_registry.rs. Only wire framing stays native (the
+// v1 frames in `wire::payload`), so the body-codec defaults apply.
 // ---------------------------------------------------------------------------
 
 /// Integer factoring (tag 1).
@@ -776,10 +887,6 @@ impl KernelFamily for FactorFamily {
 
     fn name(&self) -> &'static str {
         "factor"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Quantum
     }
 
     fn describe(&self, kernel: &Kernel) -> String {
@@ -816,6 +923,66 @@ impl KernelFamily for FactorFamily {
             exact: exact.finish(),
         }
     }
+
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
+    }
+
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
+        let Kernel::Factor { n } = kernel else {
+            return None;
+        };
+        let ops = match profile {
+            // Shor is dominated by modular exponentiation over ~2b control
+            // bits: O(b³) two-qubit-equivalents per order-finding attempt,
+            // and typically a couple of attempts before a good base.
+            BackendProfile::Quantum { .. } => {
+                let bits = (64 - n.leading_zeros()) as f64;
+                2.0 * 8.0 * bits.powi(3)
+            }
+            // Trial division probes odd candidates up to √n: ~√n/2 tries.
+            BackendProfile::Cpu { .. } => (*n as f64).sqrt() / 2.0 + 1.0,
+            _ => return None,
+        };
+        Some(profile.predict(ops))
+    }
+
+    fn execute(
+        &self,
+        kernel: &Kernel,
+        profile: &BackendProfile<'_>,
+        seed: u64,
+    ) -> Result<KernelExecution, AccelError> {
+        let Kernel::Factor { n } = kernel else {
+            return Err(unsupported(kernel, profile));
+        };
+        match profile {
+            BackendProfile::Quantum { .. } => {
+                let outcome =
+                    shor::factor(*n, &mut rng_from_seed(seed), 50).map_err(|e| profile.error(e))?;
+                let (p, q) = outcome.factors;
+                Ok(profile.report(KernelResult::Factors(p, q), outcome.quantum_ops.max(1)))
+            }
+            BackendProfile::Cpu { .. } => {
+                let (factor, ops) = trial_division(*n);
+                let f = factor.ok_or_else(|| {
+                    profile.error(std::io::Error::new(
+                        std::io::ErrorKind::InvalidInput,
+                        format!("{n} has no nontrivial factor"),
+                    ))
+                })?;
+                Ok(profile.report(KernelResult::Factors(f, n / f), ops))
+            }
+            _ => Err(unsupported(kernel, profile)),
+        }
+    }
+}
+
+/// Gates of a Grover run: oracle + diffusion per iteration, ~2(n+1) gates
+/// each. Counted in `f64` so an absurd register width cannot overflow;
+/// exact for every register below 64 qubits.
+fn grover_ops(iterations: usize, n_qubits: usize) -> f64 {
+    iterations as f64 * 2.0 * (n_qubits as f64 + 1.0)
 }
 
 /// Unstructured (Grover) search (tag 2).
@@ -829,10 +996,6 @@ impl KernelFamily for SearchFamily {
 
     fn name(&self) -> &'static str {
         "search"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Quantum
     }
 
     fn describe(&self, kernel: &Kernel) -> String {
@@ -896,11 +1059,93 @@ impl KernelFamily for SearchFamily {
             exact: exact.finish(),
         }
     }
+
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
+    }
+
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
+        let Kernel::Search { n_qubits, marked } = kernel else {
+            return None;
+        };
+        let ops = match profile {
+            // Grover's iteration count is known in advance, so the gate
+            // count is exactly the one `execute` reports.
+            BackendProfile::Quantum { .. } => grover_ops(
+                grover::optimal_iterations(*n_qubits, marked.len()),
+                *n_qubits,
+            ),
+            // Linear scan: expected (N+1)/(M+1) probes before a hit.
+            // Computed in f64 (capped) so absurd qubit counts estimate to a
+            // huge-but-finite cost instead of overflowing a shift.
+            BackendProfile::Cpu { .. } => {
+                let space = ((*n_qubits).min(300) as f64).exp2();
+                (space + 1.0) / (marked.len().max(1) as f64 + 1.0)
+            }
+            _ => return None,
+        };
+        Some(profile.predict(ops))
+    }
+
+    fn execute(
+        &self,
+        kernel: &Kernel,
+        profile: &BackendProfile<'_>,
+        seed: u64,
+    ) -> Result<KernelExecution, AccelError> {
+        let Kernel::Search { n_qubits, marked } = kernel else {
+            return Err(unsupported(kernel, profile));
+        };
+        match profile {
+            BackendProfile::Quantum { .. } => {
+                let run = grover::search(*n_qubits, marked, &mut rng_from_seed(seed))
+                    .map_err(|e| profile.error(e))?;
+                let ops = grover_ops(run.iterations, *n_qubits) as u64;
+                Ok(profile.report(KernelResult::Found(run.found), ops))
+            }
+            // A deterministic linear scan from item 0, in closed form: it
+            // stops at the smallest marked item inside the space, after
+            // item + 1 probes.
+            BackendProfile::Cpu { .. } => {
+                let in_space = |m: &usize| *n_qubits >= usize::BITS as usize || m >> n_qubits == 0;
+                let item = marked
+                    .iter()
+                    .copied()
+                    .filter(in_space)
+                    .min()
+                    .ok_or_else(|| {
+                        profile.error(std::io::Error::new(
+                            std::io::ErrorKind::NotFound,
+                            "no marked item in search space",
+                        ))
+                    })?;
+                let probes = (item as u64).saturating_add(1);
+                Ok(profile.report(KernelResult::Found(item), probes))
+            }
+            _ => Err(unsupported(kernel, profile)),
+        }
+    }
 }
 
 /// DNA sequence similarity (tag 3).
 #[derive(Debug)]
 struct DnaFamily;
+
+impl DnaFamily {
+    /// `shots` quantum swap tests over 2k-qubit registers, as (gates,
+    /// device seconds): per shot ≈ 3·2k CSWAP-equivalents at the gate
+    /// latency, then one measurement.
+    fn swap_tests(
+        profile: &BackendProfile<'_>,
+        timing: &TimingModel,
+        shots: usize,
+        k: usize,
+    ) -> (u64, f64) {
+        let gates = shots * 6 * k;
+        let seconds = profile.seconds_for(gates as f64) + shots as f64 * timing.measure_ns * 1e-9;
+        (gates as u64, seconds)
+    }
+}
 
 impl KernelFamily for DnaFamily {
     fn tag(&self) -> u16 {
@@ -909,10 +1154,6 @@ impl KernelFamily for DnaFamily {
 
     fn name(&self) -> &'static str {
         "dna-similarity"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Quantum
     }
 
     fn describe(&self, kernel: &Kernel) -> String {
@@ -959,6 +1200,67 @@ impl KernelFamily for DnaFamily {
             exact: exact.finish(),
         }
     }
+
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
+    }
+
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
+        let Kernel::DnaSimilarity { a, b, k } = kernel else {
+            return None;
+        };
+        match profile {
+            BackendProfile::Quantum {
+                timing, dna_shots, ..
+            } => {
+                let (_, seconds) = Self::swap_tests(profile, timing, *dna_shots, *k);
+                Some(estimate_at(seconds, profile.watts()))
+            }
+            // Profile builds over both sequences plus dot products across
+            // the 4^k k-mer space (capped as above).
+            BackendProfile::Cpu { .. } => {
+                Some(profile.predict(
+                    (a.len() + b.len()) as f64 + 3.0 * ((*k).min(150) as f64 * 2.0).exp2(),
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    fn execute(
+        &self,
+        kernel: &Kernel,
+        profile: &BackendProfile<'_>,
+        seed: u64,
+    ) -> Result<KernelExecution, AccelError> {
+        let Kernel::DnaSimilarity { a, b, k } = kernel else {
+            return Err(unsupported(kernel, profile));
+        };
+        match profile {
+            BackendProfile::Quantum {
+                timing, dna_shots, ..
+            } => {
+                let s = dna::quantum_similarity(a, b, *k, *dna_shots, &mut rng_from_seed(seed))
+                    .map_err(|e| profile.error(e))?;
+                let (gates, seconds) = Self::swap_tests(profile, timing, *dna_shots, *k);
+                Ok(ran(KernelResult::Similarity(s), seconds, gates))
+            }
+            // Classical cosine similarity of k-mer profiles, squared to
+            // match the quantum overlap² convention.
+            BackendProfile::Cpu { .. } => {
+                let pa = dna::kmer_profile(a, *k).map_err(|e| profile.error(e))?;
+                let pb = dna::kmer_profile(b, *k).map_err(|e| profile.error(e))?;
+                let dot: f64 = pa.iter().zip(&pb).map(|(x, y)| x * y).sum();
+                let na: f64 = pa.iter().map(|x| x * x).sum::<f64>().sqrt();
+                let nb: f64 = pb.iter().map(|x| x * x).sum::<f64>().sqrt();
+                let cos = dot / (na * nb);
+                // Op count: profile builds + dot products.
+                let ops = (a.len() + b.len() + 3 * pa.len()) as u64;
+                Ok(profile.report(KernelResult::Similarity(cos * cos), ops))
+            }
+            _ => Err(unsupported(kernel, profile)),
+        }
+    }
 }
 
 /// SAT solving (tag 4). The only hedgeable family: portfolio dispatch
@@ -973,10 +1275,6 @@ impl KernelFamily for SatFamily {
 
     fn name(&self) -> &'static str {
         "solve-sat"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Optimization
     }
 
     fn hedgeable(&self) -> bool {
@@ -1046,6 +1344,68 @@ impl KernelFamily for SatFamily {
             exact: exact.finish(),
         }
     }
+
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
+    }
+
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
+        let Kernel::SolveSat { formula } = kernel else {
+            return None;
+        };
+        let (vars, clauses) = (formula.n_vars() as f64, formula.len() as f64);
+        let ops = match profile {
+            // The DMM's trajectory length grows roughly linearly in
+            // instance size on satisfiable planted formulas.
+            BackendProfile::Mem { .. } => 50.0 * (vars + clauses),
+            // Local search on satisfiable instances near the planted ratio
+            // needs on the order of a few flips per variable per clause
+            // before converging.
+            BackendProfile::WalkSat { .. } => 8.0 * vars * clauses,
+            // DPLL on satisfiable planted instances stays near-polynomial:
+            // roughly one unit of work per clause per √vars of depth.
+            BackendProfile::Cpu { .. } => clauses * (1.0 + vars.sqrt()),
+            _ => return None,
+        };
+        Some(profile.predict(ops))
+    }
+
+    fn execute(
+        &self,
+        kernel: &Kernel,
+        profile: &BackendProfile<'_>,
+        seed: u64,
+    ) -> Result<KernelExecution, AccelError> {
+        let Kernel::SolveSat { formula } = kernel else {
+            return Err(unsupported(kernel, profile));
+        };
+        match profile {
+            BackendProfile::Mem { solver, .. } => {
+                let outcome = solver.solve(formula, seed).map_err(|e| profile.error(e))?;
+                // The DMM's "device time" is its simulated physical time,
+                // scaled to an RC time unit of 1 ns.
+                Ok(ran(
+                    KernelResult::SatSolution(outcome.solution.as_ref().map(Assignment::to_bools)),
+                    outcome.time * 1e-9,
+                    outcome.steps,
+                ))
+            }
+            BackendProfile::WalkSat { solver, .. } => {
+                let outcome = solver.solve(formula, seed);
+                let solution =
+                    KernelResult::SatSolution(outcome.solution.as_ref().map(Assignment::to_bools));
+                Ok(profile.report(solution, outcome.flips.max(1)))
+            }
+            BackendProfile::Cpu { .. } => {
+                let result = Dpll::new(10_000_000).solve(formula);
+                let ops = result.decisions + result.propagations;
+                let solution =
+                    KernelResult::SatSolution(result.solution.as_ref().map(Assignment::to_bools));
+                Ok(profile.report(solution, ops.max(1)))
+            }
+            _ => Err(unsupported(kernel, profile)),
+        }
+    }
 }
 
 /// The canonical clause ordering: literals sorted within each clause,
@@ -1075,10 +1435,6 @@ impl KernelFamily for CompareFamily {
 
     fn name(&self) -> &'static str {
         "compare"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Analog
     }
 
     fn describe(&self, kernel: &Kernel) -> String {
@@ -1126,7 +1482,48 @@ impl KernelFamily for CompareFamily {
             exact: exact.finish(),
         }
     }
+
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
+    }
+
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
+        if !matches!(kernel, Kernel::Compare { .. }) {
+            return None;
+        }
+        match profile {
+            // Exactly one readout window per comparison — the one cost the
+            // oscillator ever reports — at the paper's FAST block power.
+            BackendProfile::Oscillator { .. } => Some(profile.predict(1.0)),
+            BackendProfile::Cpu { .. } => Some(profile.predict(CPU_COMPARE_OPS as f64)),
+            _ => None,
+        }
+    }
+
+    fn execute(
+        &self,
+        kernel: &Kernel,
+        profile: &BackendProfile<'_>,
+        _seed: u64,
+    ) -> Result<KernelExecution, AccelError> {
+        let Kernel::Compare { x, y } = kernel else {
+            return Err(unsupported(kernel, profile));
+        };
+        match profile {
+            BackendProfile::Oscillator { distance, .. } => {
+                let d = distance.distance(x.clamp(0.0, 1.0), y.clamp(0.0, 1.0));
+                Ok(profile.report(KernelResult::Distance(d), 1))
+            }
+            BackendProfile::Cpu { .. } => {
+                Ok(profile.report(KernelResult::Distance((x - y).abs()), CPU_COMPARE_OPS))
+            }
+            _ => Err(unsupported(kernel, profile)),
+        }
+    }
 }
+
+/// CPU operations per analog comparison: subtract, abs, compare.
+const CPU_COMPARE_OPS: u64 = 3;
 
 /// `-0.0` and `+0.0` compare equal but have different bit patterns; fold
 /// them together so the exact hash does not split them.
@@ -1175,6 +1572,12 @@ impl ColoringFamily {
         COLORING_SIM_SECONDS + window_seconds
     }
 
+    /// CPU greedy-coloring work: each vertex and each edge is touched a
+    /// constant number of times.
+    fn cpu_ops(spec: &ColoringSpec) -> u64 {
+        (spec.n_vertices + 2 * spec.edges.len()) as u64
+    }
+
     /// Deterministic greedy (Welsh–Powell order) fallback coloring:
     /// vertices by descending degree (index-tiebroken), each taking the
     /// lowest color unused among its already-colored neighbors, wrapping
@@ -1218,10 +1621,6 @@ impl KernelFamily for ColoringFamily {
 
     fn name(&self) -> &'static str {
         "coloring"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Analog
     }
 
     fn describe(&self, kernel: &Kernel) -> String {
@@ -1315,96 +1714,61 @@ impl KernelFamily for ColoringFamily {
         }
     }
 
-    fn supports(&self, kernel: &Kernel, profile: &BackendProfile) -> bool {
-        self.spec(kernel).is_some()
-            && matches!(
-                profile,
-                BackendProfile::Oscillator { .. } | BackendProfile::Cpu { .. }
-            )
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
     }
 
-    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile) -> Option<CostEstimate> {
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
         let spec = self.spec(kernel)?;
         match profile {
-            BackendProfile::Oscillator {
-                window_seconds,
-                block_watts,
-            } => {
+            BackendProfile::Oscillator { window_seconds, .. } => {
                 // One settling + readout window, with every vertex's
                 // oscillator block powered for the duration.
                 let seconds = Self::oscillator_seconds(*window_seconds);
                 Some(CostEstimate {
                     device_seconds: seconds,
-                    energy_joules: seconds * block_watts * spec.n_vertices as f64,
+                    energy_joules: seconds * profile.watts() * spec.n_vertices as f64,
                 })
             }
-            BackendProfile::Cpu {
-                seconds_per_op,
-                watts,
-            } => {
-                // Greedy coloring touches each vertex and each edge a
-                // constant number of times.
-                let ops = (spec.n_vertices + 2 * spec.edges.len()) as f64;
-                let seconds = ops * seconds_per_op;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * watts,
-                })
-            }
-            BackendProfile::Mem { .. } => None,
+            BackendProfile::Cpu { .. } => Some(profile.predict(Self::cpu_ops(spec) as f64)),
+            _ => None,
         }
     }
 
     fn execute(
         &self,
         kernel: &Kernel,
-        profile: &BackendProfile,
-        seed: u64,
+        profile: &BackendProfile<'_>,
+        _seed: u64,
     ) -> Result<KernelExecution, AccelError> {
         // Both substrates are deterministic for this family; the seed is
         // deliberately unused so replays are trivially byte-identical.
-        let _ = seed;
         let Some(spec) = self.spec(kernel) else {
-            return Err(AccelError::Unsupported {
-                backend: profile.backend_name().into(),
-                kernel: self.describe(kernel),
-            });
+            return Err(unsupported(kernel, profile));
         };
         match profile {
-            BackendProfile::Oscillator {
-                window_seconds,
-                block_watts: _,
-            } => {
+            BackendProfile::Oscillator { window_seconds, .. } => {
                 let mut config = ColoringConfig::default();
                 config.n_colors = spec.n_colors;
                 let run = color_graph(spec.n_vertices, &spec.edges, &config)
-                    .map_err(|e| AccelError::backend(profile.backend_name(), e))?;
-                Ok(KernelExecution {
-                    result: KernelResult::Family(FamilyResult::Coloring {
+                    .map_err(|e| profile.error(e))?;
+                Ok(ran(
+                    KernelResult::Family(FamilyResult::Coloring {
                         colors: run.colors,
                         conflicts: run.conflicts as u64,
                     }),
-                    cost: CostReport {
-                        device_seconds: Self::oscillator_seconds(*window_seconds),
-                        operations: (spec.n_vertices + spec.edges.len()) as u64,
-                    },
-                })
+                    Self::oscillator_seconds(*window_seconds),
+                    (spec.n_vertices + spec.edges.len()) as u64,
+                ))
             }
-            BackendProfile::Cpu { seconds_per_op, .. } => {
+            BackendProfile::Cpu { .. } => {
                 let (colors, conflicts) = Self::greedy(spec);
-                let ops = (spec.n_vertices + 2 * spec.edges.len()) as u64;
-                Ok(KernelExecution {
-                    result: KernelResult::Family(FamilyResult::Coloring { colors, conflicts }),
-                    cost: CostReport {
-                        device_seconds: ops as f64 * seconds_per_op,
-                        operations: ops,
-                    },
-                })
+                Ok(profile.report(
+                    KernelResult::Family(FamilyResult::Coloring { colors, conflicts }),
+                    Self::cpu_ops(spec),
+                ))
             }
-            BackendProfile::Mem { .. } => Err(AccelError::Unsupported {
-                backend: profile.backend_name().into(),
-                kernel: self.describe(kernel),
-            }),
+            _ => Err(unsupported(kernel, profile)),
         }
     }
 
@@ -1511,15 +1875,13 @@ impl QuboFamily {
         (spec.n_vars * (spec.n_vars + Self::terms(spec))) as f64
     }
 
-    fn build(&self, spec: &QuboSpec, backend: &'static str) -> Result<Qubo, AccelError> {
-        let mut q = Qubo::new(spec.n_vars).map_err(|e| AccelError::backend(backend, e))?;
+    fn build(spec: &QuboSpec, profile: &BackendProfile<'_>) -> Result<Qubo, AccelError> {
+        let mut q = Qubo::new(spec.n_vars).map_err(|e| profile.error(e))?;
         for &(i, c) in &spec.linear {
-            q.add_linear(i, c)
-                .map_err(|e| AccelError::backend(backend, e))?;
+            q.add_linear(i, c).map_err(|e| profile.error(e))?;
         }
         for &(i, j, v) in &spec.quadratic {
-            q.add_quadratic(i, j, v)
-                .map_err(|e| AccelError::backend(backend, e))?;
+            q.add_quadratic(i, j, v).map_err(|e| profile.error(e))?;
         }
         Ok(q)
     }
@@ -1532,10 +1894,6 @@ impl KernelFamily for QuboFamily {
 
     fn name(&self) -> &'static str {
         "qubo"
-    }
-
-    fn class(&self) -> KernelClass {
-        KernelClass::Optimization
     }
 
     fn describe(&self, kernel: &Kernel) -> String {
@@ -1674,89 +2032,57 @@ impl KernelFamily for QuboFamily {
         }
     }
 
-    fn supports(&self, kernel: &Kernel, profile: &BackendProfile) -> bool {
-        self.spec(kernel).is_some()
-            && matches!(
-                profile,
-                BackendProfile::Mem { .. } | BackendProfile::Cpu { .. }
-            )
+    fn supports(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> bool {
+        self.estimate(kernel, profile).is_some()
     }
 
-    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile) -> Option<CostEstimate> {
+    fn estimate(&self, kernel: &Kernel, profile: &BackendProfile<'_>) -> Option<CostEstimate> {
         let spec = self.spec(kernel)?;
-        match profile {
-            BackendProfile::Mem { dt, cell_watts } => {
-                // The DMM's trajectory length grows roughly linearly in
-                // instance size; predicted device time is steps · dt at
-                // the 1 ns RC time unit.
-                let seconds = Self::dmm_steps(spec) * dt * 1e-9;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * cell_watts,
-                })
-            }
-            BackendProfile::Cpu {
-                seconds_per_op,
-                watts,
-            } => {
-                let seconds = Self::cpu_ops(spec) * seconds_per_op;
-                Some(CostEstimate {
-                    device_seconds: seconds,
-                    energy_joules: seconds * watts,
-                })
-            }
-            BackendProfile::Oscillator { .. } => None,
-        }
+        let ops = match profile {
+            // The DMM's trajectory length grows roughly linearly in
+            // instance size.
+            BackendProfile::Mem { .. } => Self::dmm_steps(spec),
+            BackendProfile::Cpu { .. } => Self::cpu_ops(spec),
+            _ => return None,
+        };
+        Some(profile.predict(ops))
     }
 
     fn execute(
         &self,
         kernel: &Kernel,
-        profile: &BackendProfile,
+        profile: &BackendProfile<'_>,
         seed: u64,
     ) -> Result<KernelExecution, AccelError> {
         let Some(spec) = self.spec(kernel) else {
-            return Err(AccelError::Unsupported {
-                backend: profile.backend_name().into(),
-                kernel: self.describe(kernel),
-            });
+            return Err(unsupported(kernel, profile));
         };
         match profile {
-            BackendProfile::Mem { dt, .. } => {
-                let q = self.build(spec, "memcomputing")?;
+            BackendProfile::Mem { .. } => {
+                let q = Self::build(spec, profile)?;
                 let (bits, energy) = q
                     .minimize_dmm(MaxSatDmmParams::default(), seed)
-                    .map_err(|e| AccelError::backend("memcomputing", e))?;
-                let steps = Self::dmm_steps(spec);
-                Ok(KernelExecution {
-                    result: KernelResult::Family(FamilyResult::Qubo { bits, energy }),
-                    cost: CostReport {
-                        // Modelled device time: the predicted trajectory at
-                        // the crossbar's RC time unit (the MaxSAT reduction
-                        // does not expose its own step count).
-                        device_seconds: steps * dt * 1e-9,
-                        operations: steps as u64,
-                    },
-                })
+                    .map_err(|e| profile.error(e))?;
+                // Modelled device time: the predicted trajectory at the
+                // crossbar's RC time unit (the MaxSAT reduction does not
+                // expose its own step count).
+                let steps = Self::dmm_steps(spec) as u64;
+                Ok(profile.report(
+                    KernelResult::Family(FamilyResult::Qubo { bits, energy }),
+                    steps,
+                ))
             }
-            BackendProfile::Cpu { seconds_per_op, .. } => {
-                let q = self.build(spec, "cpu")?;
+            BackendProfile::Cpu { .. } => {
+                let q = Self::build(spec, profile)?;
                 let mut rng = rng_from_seed(seed);
                 let start: Vec<bool> = (0..spec.n_vars).map(|_| rng.gen_bool(0.5)).collect();
                 let (bits, energy) = q.minimize_greedy(&start);
-                let ops = Self::cpu_ops(spec);
-                Ok(KernelExecution {
-                    result: KernelResult::Family(FamilyResult::Qubo { bits, energy }),
-                    cost: CostReport {
-                        device_seconds: ops * seconds_per_op,
-                        operations: ops as u64,
-                    },
-                })
+                Ok(profile.report(
+                    KernelResult::Family(FamilyResult::Qubo { bits, energy }),
+                    Self::cpu_ops(spec) as u64,
+                ))
             }
-            BackendProfile::Oscillator { .. } => Err(AccelError::Unsupported {
-                backend: profile.backend_name().into(),
-                kernel: self.describe(kernel),
-            }),
+            _ => Err(unsupported(kernel, profile)),
         }
     }
 
@@ -2092,7 +2418,11 @@ mod tests {
     fn coloring_estimates_and_supports_follow_profiles() {
         let kernel = coloring(6, 2, &[(0, 1), (2, 3)]);
         let family = registry().family_of(&kernel);
+        let distance =
+            OscillatorDistance::calibrate(osc::norms::NormRegime::Shallow.config(), 0.62, 0.02, 9)
+                .expect("calibrates");
         let osc = BackendProfile::Oscillator {
+            distance: &distance,
             window_seconds: 1.6e-6,
             block_watts: 0.936e-3,
         };
@@ -2101,7 +2431,7 @@ mod tests {
             watts: 1.0,
         };
         let mem = BackendProfile::Mem {
-            dt: 0.1,
+            solver: DmmSolver::new(mem::dmm::DmmParams::default()),
             cell_watts: 10e-3,
         };
         assert!(family.supports(&kernel, &osc));

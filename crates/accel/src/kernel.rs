@@ -244,41 +244,11 @@ impl Kernel {
         crate::family::registry().family_of(self).validate(self)
     }
 
-    /// A coarse class tag for dispatch policies.
-    ///
-    /// Delegates to the kernel's [`crate::family::KernelFamily`] entry.
-    #[must_use]
-    pub fn class(&self) -> KernelClass {
-        crate::family::registry().family_of(self).class()
-    }
-
     /// Whether this kernel travels in the protocol-v6 generic family
     /// frame (registry-born families) rather than a native v1 frame.
     #[must_use]
     pub fn uses_family_frame(&self) -> bool {
         matches!(self, Kernel::Family(_))
-    }
-}
-
-/// Coarse kernel classes used for dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelClass {
-    /// Quantum-algorithm-shaped work.
-    Quantum,
-    /// Combinatorial optimization.
-    Optimization,
-    /// Analog comparison primitives.
-    Analog,
-}
-
-impl std::fmt::Display for KernelClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            KernelClass::Quantum => "quantum",
-            KernelClass::Optimization => "optimization",
-            KernelClass::Analog => "analog",
-        };
-        f.write_str(s)
     }
 }
 
@@ -374,25 +344,6 @@ mod tests {
         assert!(Kernel::SolveSat { formula: f }
             .describe()
             .contains("5 vars"));
-    }
-
-    #[test]
-    fn classes() {
-        assert_eq!(Kernel::Factor { n: 15 }.class(), KernelClass::Quantum);
-        assert_eq!(
-            Kernel::Compare { x: 0.1, y: 0.2 }.class(),
-            KernelClass::Analog
-        );
-        let f = random_ksat(4, 3, 2.0, 2).unwrap();
-        assert_eq!(
-            Kernel::SolveSat { formula: f }.class(),
-            KernelClass::Optimization
-        );
-    }
-
-    #[test]
-    fn class_display() {
-        assert_eq!(KernelClass::Analog.to_string(), "analog");
     }
 
     #[test]

@@ -33,9 +33,7 @@ pub mod canonical;
 pub mod singleflight;
 
 pub use cache::{CacheCounters, ResultCache};
-pub use canonical::{
-    admit, cancel_adjacent_inverses, canonical_key, canonicalize, routing_hash, CanonicalKey,
-};
+pub use canonical::{admit, canonical_key, canonicalize, routing_hash, CanonicalKey};
 pub use singleflight::SingleFlight;
 
 /// Configuration for the runtime's admission tier.

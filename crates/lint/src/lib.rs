@@ -5,7 +5,7 @@
 //! cross-wire results replay byte-for-byte — served from a
 //! single-threaded readiness loop fed hostile input. The runtime tests
 //! enforce the contract after the fact; this crate enforces its
-//! *ingredients* at the source level, with eight rule families:
+//! *ingredients* at the source level, with nine rule families:
 //!
 //! | family | rule ids | scope |
 //! |---|---|---|
@@ -13,12 +13,13 @@
 //! | panic-hygiene | `panic::{unwrap, expect, panic, todo, unimplemented, index}` | `wire`, `server`, `accel::host` |
 //! | wire-freeze | `wire::{frozen, tag-dup, version-freeze}` | `crates/wire` + the registry |
 //! | family-tag-freeze | `family::{frozen, tag-dup}` | `accel::family::FAMILY_TAGS` + the registry |
+//! | family-home | `family::home` | every scanned crate except `accel::family` and the v1 codec `wire::payload` |
 //! | lock-order | `locks::cycle` | `runtime`, `server`, `cluster` |
 //! | event-loop | `eventloop::blocking` | `cluster`, `server` (minus the blocking client tier) |
 //! | alloc-bounds | `alloc::unbounded` | `wire`, `cluster`, `server`, `admission` |
 //! | channel-discipline | `channel::send-under-lock` + edges into `locks::cycle` | `runtime`, `server`, `cluster` |
 //!
-//! The first five work on flat token scans; the last three sit on the
+//! The first six work on flat token scans; the last three sit on the
 //! syntactic analysis pipeline (lexer → function items →
 //! [`callgraph`] → [`dataflow`]).
 //!
@@ -194,6 +195,7 @@ pub fn check_sources(files: &[SourceFile], wire_registry: &str, family_registry:
         if ALLOC_CRATES.contains(&c) {
             rules::alloc::check(file, &mut raw);
         }
+        rules::home::check(file, &mut raw);
     }
 
     let mut graph = LockGraph::default();
@@ -318,7 +320,7 @@ pub fn check_workspace(root: &Path) -> io::Result<Report> {
 }
 
 /// Checks explicit files (fixtures, ad-hoc runs) with the determinism,
-/// panic-hygiene, lock-order, event-loop, alloc-bounds and
+/// panic-hygiene, family-home, lock-order, event-loop, alloc-bounds and
 /// channel-discipline rules — everything except the freeze rules, which
 /// only make sense against the real workspace trees.
 pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
@@ -333,6 +335,7 @@ pub fn check_files(paths: &[PathBuf]) -> io::Result<Report> {
         rules::determinism::check(file, true, &mut raw);
         rules::panics::check(file, &mut raw);
         rules::alloc::check(file, &mut raw);
+        rules::home::check(file, &mut raw);
         rules::locks::collect(file, &mut graph);
         rules::channel::collect(file, &mut graph, &mut raw);
     }

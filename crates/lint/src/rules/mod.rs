@@ -1,4 +1,4 @@
-//! The eight rule families of `rebootlint`.
+//! The nine rule families of `rebootlint`.
 
 pub mod alloc;
 pub mod channel;
@@ -6,5 +6,6 @@ pub mod determinism;
 pub mod eventloop;
 pub mod families;
 pub mod freeze;
+pub mod home;
 pub mod locks;
 pub mod panics;

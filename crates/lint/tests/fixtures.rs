@@ -192,6 +192,21 @@ fn disciplined_channel_shapes_are_silent() {
 }
 
 #[test]
+fn legacy_kernel_matches_outside_the_registry_fire_at_the_right_lines() {
+    // Arms, or-patterns and `matches!` fire; constructions (line 17) and
+    // the test module stay silent.
+    assert_eq!(
+        findings("home_bad.rs"),
+        vec![
+            ("family::home".to_string(), 5),
+            ("family::home".to_string(), 6),
+            ("family::home".to_string(), 6),
+            ("family::home".to_string(), 12),
+        ]
+    );
+}
+
+#[test]
 fn stale_allow_is_an_error_with_a_position() {
     let report = check_files(&[fixture("allow_stale.rs")]).expect("fixture must be readable");
     assert_eq!(

@@ -41,9 +41,14 @@ pub struct GroverRun {
 }
 
 /// The optimal iteration count `⌊π/4·√(N/M)⌋` (at least 1).
+///
+/// Exact for every register width below 64 qubits; wider registers
+/// saturate at `usize::MAX` instead of overflowing.
 #[must_use]
 pub fn optimal_iterations(n_qubits: usize, n_marked: usize) -> usize {
-    let n = (1usize << n_qubits) as f64;
+    // Powers of two multiply exactly, so `N = 2^n` is exact in f64 (and
+    // infinite past its range, which the cast below saturates).
+    let n = 2f64.powi(i32::try_from(n_qubits).unwrap_or(i32::MAX));
     let m = n_marked.max(1) as f64;
     let iters = (std::f64::consts::FRAC_PI_4 * (n / m).sqrt()).floor() as usize;
     iters.max(1)
@@ -187,6 +192,19 @@ mod tests {
         // √(2^10 / 2^6) = 4 → roughly 4× as many iterations.
         let ratio = i10 as f64 / i6 as f64;
         assert!((3.0..5.0).contains(&ratio), "ratio {ratio}");
+    }
+
+    #[test]
+    fn iteration_count_is_exact_below_64_qubits_and_saturates_above() {
+        for n in 0..64 {
+            let shifted = (1usize << n) as f64;
+            let expected =
+                ((std::f64::consts::FRAC_PI_4 * (shifted / 3.0).sqrt()).floor() as usize).max(1);
+            assert_eq!(optimal_iterations(n, 3), expected, "n = {n}");
+        }
+        assert_eq!(optimal_iterations(64, 1), 3_373_259_426); // ⌊π/4 · 2^32⌋
+        assert_eq!(optimal_iterations(200, 1), usize::MAX);
+        assert_eq!(optimal_iterations(usize::MAX, 1), usize::MAX);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use accel::accelerator::{Accelerator, CpuBackend};
 use accel::backends::{standard_pool, MemBackend, QuantumBackend};
 use accel::host::{CorrectionTable, DispatchPolicy, HostRuntime};
-use accel::kernel::Kernel;
+use accel::kernel::{Kernel, KernelResult};
 use accel::AccelError;
 use mem::generators::planted_3sat;
 use numerics::rng::{rng_from_seed, Rng, StdRng};
@@ -236,5 +236,42 @@ fn deadline_aware_with_no_deadline_matches_min_latency() {
              MinPredictedLatency for {}",
             kernel.describe()
         );
+    }
+}
+
+#[test]
+fn searches_wider_than_a_machine_word_plan_and_run_on_the_cpu() {
+    // `validate` stops range-checking marked items once every `usize`
+    // fits the space, so these reach the planner; no cost model or CPU
+    // scan may shift by the register width.
+    let host = host_with(CorrectionTable::new());
+    let policies = [
+        DispatchPolicy::PreferSpecialized,
+        DispatchPolicy::CpuOnly,
+        DispatchPolicy::MinPredictedLatency,
+        DispatchPolicy::MinPredictedEnergy,
+        DispatchPolicy::DeadlineAware,
+    ];
+    let cases = [
+        (64, vec![1usize << 40, 5], 5),
+        (200, vec![usize::MAX, 7, 1 << 63], 7),
+    ];
+    for (n_qubits, marked, smallest) in cases {
+        let kernel = Kernel::Search { n_qubits, marked };
+        assert_eq!(kernel.validate(), Ok(()));
+        for policy in policies {
+            let plan = host
+                .plan(&kernel, Some(policy), None)
+                .unwrap_or_else(|e| panic!("{policy:?} on 2^{n_qubits}: {e}"));
+            for (_, estimate) in &plan.ranked {
+                let e = estimate.expect("every ranked backend has an estimate");
+                assert!(e.device_seconds.is_finite() && e.device_seconds > 0.0);
+            }
+        }
+        let run = CpuBackend::new(1)
+            .execute(&kernel)
+            .expect("cpu search runs");
+        assert_eq!(run.result, KernelResult::Found(smallest));
+        assert_eq!(run.cost.operations, smallest as u64 + 1);
     }
 }
