@@ -306,12 +306,6 @@ impl FaultPlan {
             backend
         }
     }
-
-    /// Wraps every backend in a pool that has a spec installed.
-    #[must_use]
-    pub fn instrument(&self, pool: Vec<Box<dyn Accelerator>>) -> Vec<Box<dyn Accelerator>> {
-        pool.into_iter().map(|b| self.wrap(b)).collect()
-    }
 }
 
 /// An [`Accelerator`] wrapper that injects the faults a [`FaultPlan`]
@@ -350,12 +344,6 @@ impl FaultyBackend {
             unseeded_jobs: 0,
             job_active: false,
         }
-    }
-
-    /// The decision governing the current job.
-    #[must_use]
-    pub fn decision_now(&self) -> FaultDecision {
-        self.decision
     }
 
     fn begin_job(&mut self, seed: u64) {
@@ -589,15 +577,12 @@ mod tests {
     }
 
     #[test]
-    fn instrument_wraps_only_listed_backends() {
-        let plan = FaultPlan::new(4).with_backend("cpu", FaultSpec::permanent(1.0));
-        let pool: Vec<Box<dyn Accelerator>> = vec![
-            Box::new(CpuBackend::new(1)),
-            Box::new(crate::backends::QuantumBackend::new(2)),
-        ];
-        let pool = plan.instrument(pool);
-        assert_eq!(pool.len(), 2);
-        assert_eq!(pool[0].name(), "cpu");
-        assert_eq!(pool[1].name(), "quantum");
+    fn wrap_leaves_unlisted_backends_alone() {
+        let plan = FaultPlan::new(4).with_backend("quantum", FaultSpec::permanent(1.0));
+        let mut cpu = plan.wrap(Box::new(CpuBackend::new(1)));
+        assert_eq!(cpu.name(), "cpu");
+        for _ in 0..4 {
+            assert!(cpu.execute(&kernel()).is_ok());
+        }
     }
 }

@@ -163,12 +163,6 @@ impl Planner {
         }
     }
 
-    /// Whether this planner updates corrections online.
-    #[must_use]
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// The current correction table.
     #[must_use]
     pub fn corrections(&self) -> &CorrectionTable {
@@ -492,8 +486,11 @@ pub struct HedgeReport {
 /// Per-dispatch overrides threaded down from the serving layers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DispatchRequest {
-    /// Reseed the selected backend before executing (see
-    /// [`HostRuntime::dispatch_traced`]).
+    /// Reseed the selected backend before executing. Reseeding makes the
+    /// result a pure function of `(kernel, seed)` rather than of the
+    /// backend's execution history, which is what the `runtime` crate's
+    /// concurrent workers need for results that are reproducible
+    /// independent of scheduling order.
     pub reseed: Option<u64>,
     /// Override the host's default policy for this kernel only.
     pub policy: Option<DispatchPolicy>,
@@ -570,21 +567,9 @@ impl HostRuntime {
         self.retry = retry;
     }
 
-    /// The retry policy in effect.
-    #[must_use]
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Sets when faulting backends are quarantined and probed.
     pub fn set_quarantine_policy(&mut self, quarantine: QuarantinePolicy) {
         self.quarantine = quarantine;
-    }
-
-    /// The quarantine policy in effect.
-    #[must_use]
-    pub fn quarantine_policy(&self) -> QuarantinePolicy {
-        self.quarantine
     }
 
     /// Names of the backends currently under quarantine.
@@ -706,31 +691,6 @@ impl HostRuntime {
     pub fn dispatch(&mut self, kernel: &Kernel) -> Result<KernelExecution, AccelError> {
         self.dispatch_planned(kernel, &DispatchRequest::default())
             .map(|r| r.execution)
-    }
-
-    /// Dispatches one kernel, reporting which backend ran it, optionally
-    /// reseeding the selected backend first.
-    ///
-    /// Reseeding makes the result a pure function of `(kernel, seed)`
-    /// rather than of the backend's execution history, which is what the
-    /// `runtime` crate's concurrent workers need for results that are
-    /// reproducible independent of scheduling order.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`HostRuntime::dispatch`].
-    pub fn dispatch_traced(
-        &mut self,
-        kernel: &Kernel,
-        reseed: Option<u64>,
-    ) -> Result<DispatchReport, AccelError> {
-        self.dispatch_planned(
-            kernel,
-            &DispatchRequest {
-                reseed,
-                ..DispatchRequest::default()
-            },
-        )
     }
 
     /// Dispatches one kernel with full per-job overrides: the planner
@@ -1199,6 +1159,13 @@ mod tests {
     use crate::kernel::KernelResult;
     use mem::generators::planted_3sat;
 
+    fn reseeded(seed: u64) -> DispatchRequest {
+        DispatchRequest {
+            reseed: Some(seed),
+            ..DispatchRequest::default()
+        }
+    }
+
     fn hetero_host() -> HostRuntime {
         let mut host = HostRuntime::new(DispatchPolicy::PreferSpecialized);
         host.register(Box::new(QuantumBackend::new(1)));
@@ -1304,7 +1271,10 @@ mod tests {
         // pick the first supporting backend overall, which is the CPU.
         let mut host = hetero_host();
         let report = host
-            .dispatch_traced(&Kernel::Compare { x: 0.25, y: 0.75 }, None)
+            .dispatch_planned(
+                &Kernel::Compare { x: 0.25, y: 0.75 },
+                &DispatchRequest::default(),
+            )
             .unwrap();
         assert_eq!(report.backend, "cpu");
     }
@@ -1368,11 +1338,14 @@ mod tests {
         // oscillator paths.
         let mut host = full_host(DispatchPolicy::MinPredictedLatency);
         let a = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, None)
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &DispatchRequest::default())
             .unwrap();
         assert_eq!(a.backend, "cpu");
         let b = host
-            .dispatch_traced(&Kernel::Compare { x: 0.2, y: 0.6 }, None)
+            .dispatch_planned(
+                &Kernel::Compare { x: 0.2, y: 0.6 },
+                &DispatchRequest::default(),
+            )
             .unwrap();
         assert_eq!(b.backend, "cpu");
         assert!(a.estimate.unwrap().device_seconds > 0.0);
@@ -1384,7 +1357,10 @@ mod tests {
         // even though its readout window is slower than three CPU ops.
         let mut host = full_host(DispatchPolicy::MinPredictedEnergy);
         let report = host
-            .dispatch_traced(&Kernel::Compare { x: 0.2, y: 0.6 }, None)
+            .dispatch_planned(
+                &Kernel::Compare { x: 0.2, y: 0.6 },
+                &DispatchRequest::default(),
+            )
             .unwrap();
         assert_eq!(report.backend, "oscillator");
         let latency_choice = full_host(DispatchPolicy::MinPredictedLatency)
@@ -1503,7 +1479,7 @@ mod tests {
     fn adaptive_planner_learns_corrections_frozen_does_not() {
         let kernel = Kernel::Factor { n: 77 };
         let mut adaptive = full_host(DispatchPolicy::PreferSpecialized);
-        adaptive.dispatch_traced(&kernel, Some(1)).unwrap();
+        adaptive.dispatch_planned(&kernel, &reseeded(1)).unwrap();
         assert_ne!(
             adaptive.planner().corrections().factor("quantum"),
             1.0,
@@ -1517,7 +1493,7 @@ mod tests {
         for backend in standard_pool(7).unwrap() {
             frozen.register(backend);
         }
-        frozen.dispatch_traced(&kernel, Some(1)).unwrap();
+        frozen.dispatch_planned(&kernel, &reseeded(1)).unwrap();
         assert_eq!(frozen.planner().corrections().factor("quantum"), 1.0);
     }
 
@@ -1532,7 +1508,10 @@ mod tests {
             host.register(backend);
         }
         let report = host
-            .dispatch_traced(&Kernel::Compare { x: 0.3, y: 0.4 }, None)
+            .dispatch_planned(
+                &Kernel::Compare { x: 0.3, y: 0.4 },
+                &DispatchRequest::default(),
+            )
             .unwrap();
         assert_eq!(report.backend, "oscillator");
     }
@@ -1602,7 +1581,7 @@ mod tests {
         let burst = plan.decision("cpu", 55).transient_attempts;
         assert!(burst >= 1);
         let report = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(55))
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(55))
             .unwrap();
         assert_eq!(report.backend, "cpu");
         assert_eq!(report.faults, burst);
@@ -1624,7 +1603,7 @@ mod tests {
         host.register(Box::new(FaultyStub::new("flaky", u64::MAX)));
         host.register(Box::new(CpuBackend::new(2)));
         let report = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(7))
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(7))
             .unwrap();
         assert_eq!(report.backend, "cpu");
         assert!(report.rerouted);
@@ -1646,7 +1625,7 @@ mod tests {
         host.register(plan.wrap(Box::new(FaultyStub::new("flaky", 0))));
         host.register(Box::new(CpuBackend::new(2)));
         let report = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(9))
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(9))
             .unwrap();
         assert_eq!(report.backend, "cpu");
         assert!(report.rerouted);
@@ -1661,7 +1640,7 @@ mod tests {
         host.set_retry_policy(RetryPolicy::no_backoff(1));
         host.register(Box::new(FaultyStub::new("cpu", u64::MAX)));
         let err = host
-            .dispatch_traced(&Kernel::Factor { n: 15 }, Some(3))
+            .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(3))
             .unwrap_err();
         assert!(
             matches!(
@@ -1689,7 +1668,7 @@ mod tests {
         let mut ledger = FaultLedger::default();
         for seed in 0..10u64 {
             let report = host
-                .dispatch_traced(&Kernel::Factor { n: 15 }, Some(seed))
+                .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(seed))
                 .unwrap();
             assert_eq!(report.backend, "cpu");
             assert!(report.rerouted);
@@ -1719,7 +1698,7 @@ mod tests {
         let mut ledger = FaultLedger::default();
         for seed in 0..4u64 {
             let report = host
-                .dispatch_traced(&Kernel::Factor { n: 15 }, Some(seed))
+                .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(seed))
                 .unwrap();
             ledger.merge(&host.drain_faults());
             match seed {
@@ -1745,7 +1724,7 @@ mod tests {
         let mut ledger = FaultLedger::default();
         for seed in 0..6u64 {
             let report = host
-                .dispatch_traced(&Kernel::Factor { n: 15 }, Some(seed))
+                .dispatch_planned(&Kernel::Factor { n: 15 }, &reseeded(seed))
                 .unwrap();
             assert_eq!(report.backend, "cpu");
             ledger.merge(&host.drain_faults());
@@ -1891,11 +1870,11 @@ mod tests {
             k: 2,
         };
         let mut host = hetero_host();
-        let first = host.dispatch_traced(&kernel, Some(99)).unwrap();
+        let first = host.dispatch_planned(&kernel, &reseeded(99)).unwrap();
         // Burn executions to advance backend state.
         host.dispatch(&Kernel::Factor { n: 15 }).unwrap();
-        host.dispatch_traced(&kernel, Some(11)).unwrap();
-        let again = host.dispatch_traced(&kernel, Some(99)).unwrap();
+        host.dispatch_planned(&kernel, &reseeded(11)).unwrap();
+        let again = host.dispatch_planned(&kernel, &reseeded(99)).unwrap();
         assert_eq!(first.backend, again.backend);
         assert_eq!(first.execution.result, again.execution.result);
     }

@@ -244,8 +244,8 @@ impl Kernel {
         crate::family::registry().family_of(self).validate(self)
     }
 
-    /// Whether this kernel travels in the protocol-v6 generic family
-    /// frame (registry-born families) rather than a native v1 frame.
+    /// Whether this kernel travels in the generic family frame
+    /// (registry-born families) rather than under a native kernel tag.
     #[must_use]
     pub fn uses_family_frame(&self) -> bool {
         matches!(self, Kernel::Family(_))
@@ -267,15 +267,6 @@ pub enum KernelResult {
     Distance(f64),
     /// A registry-served family's result payload (see [`crate::family`]).
     Family(crate::family::FamilyResult),
-}
-
-impl KernelResult {
-    /// Whether this result travels in the protocol-v6 generic family
-    /// frame (registry-born families) rather than a native v1 frame.
-    #[must_use]
-    pub fn uses_family_frame(&self) -> bool {
-        matches!(self, KernelResult::Family(_))
-    }
 }
 
 /// Device-time and work accounting for one execution.

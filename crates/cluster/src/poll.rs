@@ -194,12 +194,6 @@ impl Poll {
         self.streams.get(&token.0).map(|entry| &entry.stream)
     }
 
-    /// How many streams are currently registered.
-    #[must_use]
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
-    }
-
     /// Scans for readiness, parking up to `timeout` if nothing is ready.
     ///
     /// Appends events to `events` and returns how many were added. Returns

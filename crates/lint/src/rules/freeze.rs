@@ -1,6 +1,6 @@
-//! Wire-freeze: the v1/v2/v3 encode/decode paths in `crates/wire` are
-//! interface contracts (like a QISA layer) — once shipped, their byte
-//! layouts must never drift silently. This rule records a token-level
+//! Wire-freeze: the encode/decode paths of the live protocol version
+//! (v6) in `crates/wire` are interface contracts (like a QISA layer) —
+//! once shipped, their byte layouts must never drift silently. This rule records a token-level
 //! source hash for every frozen function, plus the message tag table and
 //! the protocol version constants, in a registry file. Any edit fails the
 //! lint until the registry is consciously re-blessed with
@@ -59,8 +59,7 @@ pub const FROZEN_FNS: &[(&str, &[&str])] = &[
             "negotiate",
             "put_gossip_entries",
             "get_gossip_entries",
-            "require_gossip_version",
-            "require_family_version",
+            "require_version",
         ],
     ),
     (
@@ -180,7 +179,7 @@ pub fn version_consts(file: &SourceFile) -> Vec<(String, u64, u32, u32)> {
 pub fn bless(files: &BTreeMap<String, &SourceFile>) -> String {
     let mut out = String::from(
         "# rebootlint wire-freeze registry.\n\
-         # Token-level hashes of the frozen v1/v2/v3 encode/decode paths in\n\
+         # Token-level hashes of the live v6 encode/decode paths in\n\
          # crates/wire, plus the tag table and protocol version constants.\n\
          # Re-bless after an intentional layout change with:\n\
          #     cargo run -p lint -- --bless-wire\n",
@@ -246,8 +245,8 @@ fn parse_registry(text: &str) -> Registry {
 
 const BLESS_HELP: &str =
     "if the layout change is intentional, re-bless with `cargo run -p lint -- --bless-wire` \
-     (and bump PROTOCOL_VERSION for behavioural changes); frozen versions must keep decoding \
-     old bytes identically";
+     (and bump PROTOCOL_VERSION for behavioural changes); the live version must keep encoding \
+     and decoding its bytes identically";
 
 /// Checks the wire sources against the registry text.
 ///
@@ -469,9 +468,9 @@ mod tests {
     fn edit_without_bless_is_caught() {
         let lib = wire_file(
             "lib",
-            "pub const PROTOCOL_VERSION: u16 = 3;\npub const MIN_SUPPORTED_VERSION: u16 = 1;",
+            "pub const PROTOCOL_VERSION: u16 = 6;\npub const MIN_SUPPORTED_VERSION: u16 = 6;",
         );
-        let msg = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request_v() {}\nfn decode_request_v() {}\nfn encode_response_v() {}\nfn decode_response_v() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}\nfn require_gossip_version() {}\nfn require_family_version() {}");
+        let msg = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request_v() {}\nfn decode_request_v() {}\nfn encode_response_v() {}\nfn decode_response_v() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}\nfn require_version() {}");
         let mut files = BTreeMap::new();
         files.insert("lib".to_string(), &lib);
         files.insert("message".to_string(), &msg);
@@ -488,7 +487,7 @@ mod tests {
             "clean sources must pass: {fn_errors:?}"
         );
 
-        let edited = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request_v() { changed(); }\nfn decode_request_v() {}\nfn encode_response_v() {}\nfn decode_response_v() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}\nfn require_gossip_version() {}\nfn require_family_version() {}");
+        let edited = wire_file("message", "const TAG_HELLO: u8 = 0x01;\nfn encode_request_v() { changed(); }\nfn decode_request_v() {}\nfn encode_response_v() {}\nfn decode_response_v() {}\nfn negotiate() {}\nfn put_gossip_entries() {}\nfn get_gossip_entries() {}\nfn require_version() {}");
         let mut files2 = BTreeMap::new();
         files2.insert("lib".to_string(), &lib);
         files2.insert("message".to_string(), &edited);
@@ -507,18 +506,18 @@ mod tests {
         );
         let lib = wire_file(
             "lib",
-            "pub const PROTOCOL_VERSION: u16 = 4;\npub const MIN_SUPPORTED_VERSION: u16 = 1;",
+            "pub const PROTOCOL_VERSION: u16 = 7;\npub const MIN_SUPPORTED_VERSION: u16 = 6;",
         );
         let mut files = BTreeMap::new();
         files.insert("message".to_string(), &msg);
         files.insert("lib".to_string(), &lib);
-        let registry = "version PROTOCOL_VERSION 3\nversion MIN_SUPPORTED_VERSION 1\ntag TAG_A 0x01\ntag TAG_B 0x01\n";
+        let registry = "version PROTOCOL_VERSION 6\nversion MIN_SUPPORTED_VERSION 6\ntag TAG_A 0x01\ntag TAG_B 0x01\n";
         let mut out = Vec::new();
         check(&files, registry, &PathBuf::from("reg"), &mut out);
         assert!(out.iter().any(|d| d.rule == TAG_DUP));
         assert!(out
             .iter()
-            .any(|d| d.rule == VERSION_FREEZE && d.message.contains("3 to 4")));
+            .any(|d| d.rule == VERSION_FREEZE && d.message.contains("6 to 7")));
     }
 
     #[test]

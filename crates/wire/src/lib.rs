@@ -19,8 +19,9 @@
 //!
 //! and the payload starts with a one-byte message tag (see [`message`]).
 //! A connection opens with a `Hello { min_version, max_version }` request;
-//! the server answers `HelloAck { version }` with the highest mutually
-//! supported version, or an error frame and a close.
+//! the server answers `HelloAck { version }` when the range holds
+//! [`PROTOCOL_VERSION`], or an error frame and a close. One version is
+//! live, so every link, frame and stats row speaks one layout.
 //!
 //! # Robustness contract
 //!
@@ -65,8 +66,8 @@ pub use chaos::{ChaosStream, StreamFault};
 pub use frame::{read_frame, write_frame};
 pub use message::{
     decode_request, decode_request_v, decode_response, decode_response_v, encode_request,
-    encode_request_v, encode_response, encode_response_v, negotiate, ErrorCode, GossipEntry,
-    Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED, GOSSIP_SUSPECT,
+    encode_request_v, encode_response, encode_response_v, negotiate, require_version, ErrorCode,
+    GossipEntry, Request, Response, GOSSIP_ALIVE, GOSSIP_QUARANTINED, GOSSIP_SUSPECT,
 };
 pub use payload::{
     decode_kernel, decode_kernel_result, encode_kernel, encode_kernel_result, WireOutcome,
@@ -75,36 +76,14 @@ pub use payload::{
 /// Magic bytes opening every frame ("ReBooting Computing Models").
 pub const MAGIC: [u8; 4] = *b"RBCM";
 
-/// The protocol version this build speaks.
-///
-/// Version history:
-///
-/// * **1** — initial protocol: submit/cancel/stats over framed messages.
-/// * **2** — cost-model-driven dispatch: `Submit` carries an optional
-///   per-job [`accel::host::DispatchPolicy`] override, and `Stats` rows
-///   carry predicted device seconds plus the EWMA calibration pair.
-/// * **3** — fault accounting: `Stats` gains the global fault counters
-///   (device faults, retries, reroutes, quarantine events, recovery
-///   probes) and each backend row gains its fault count.
-/// * **4** — admission tier: `Stats` gains the global admission counters
-///   (cache hits, misses, evictions, coalesced submissions, hedged
-///   dispatches, hedge cancellations) after the fault-counter block.
-/// * **5** — cluster tier: new `Gossip` request / `GossipAck` response
-///   carrying per-shard health entries (status, consecutive failures,
-///   epoch) between routers and shards. `Submit`/`Stats` layouts are
-///   unchanged — a v5 frame of any v4 message is byte-identical to its
-///   v4 encoding.
-/// * **6** — kernel-family registry: kernel tag `5` and result tag `5`
-///   open a *generic family frame* (u16 registry family tag, u32
-///   length-prefixed family-owned body), so new workload families ship
-///   through their [`accel::family`] registry entry without new
-///   top-level wire tags. The legacy five families keep their native
-///   v1 tags — a v6 frame of any v5 message is byte-identical to its
-///   v5 encoding.
+/// The protocol version this build speaks. The version history is in
+/// `CHANGELOG.md`.
 pub const PROTOCOL_VERSION: u16 = 6;
 
-/// The oldest protocol version this build still accepts.
-pub const MIN_SUPPORTED_VERSION: u16 = 1;
+/// The oldest protocol version this build accepts: only
+/// [`PROTOCOL_VERSION`] is live, so a peer that speaks any other version
+/// is refused with [`WireError::UnsupportedVersion`].
+pub const MIN_SUPPORTED_VERSION: u16 = 6;
 
 /// Hard cap on a frame's payload length. A length prefix beyond this is
 /// rejected before any allocation.
@@ -125,7 +104,7 @@ pub const MAX_CLAUSES: u32 = 1 << 20;
 pub const MAX_CLAUSE_WIDTH: u32 = 1 << 10;
 
 /// Hard cap on the body of one generic family frame (kernel/result tag
-/// `5`, protocol version ≥ 6). Individual families enforce their own,
+/// `5`). Individual families enforce their own,
 /// tighter serving caps inside the body.
 pub const MAX_FAMILY_BODY: u32 = 1 << 20;
 

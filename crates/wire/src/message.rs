@@ -1,6 +1,6 @@
 //! Request/response envelopes and protocol-version negotiation.
 //!
-//! Requests carry tags `0x01..=0x05`, responses `0x81..=0x86` — disjoint
+//! Requests carry tags `0x01..=0x06`, responses `0x81..=0x87` — disjoint
 //! ranges so a peer that confuses the two directions fails loudly with
 //! [`WireError::UnknownTag`] instead of misparsing. Every `decode_*`
 //! consumes the whole payload and rejects trailing bytes.
@@ -38,9 +38,7 @@ pub enum Request {
         timeout_ms: Option<u64>,
         /// Optional explicit backend seed (for cross-run determinism).
         seed: Option<u64>,
-        /// Optional per-job dispatch-policy override. Only encodable at
-        /// protocol version ≥ 2; encoding `Some` on a v1 connection is a
-        /// [`WireError::Invalid`].
+        /// Optional per-job dispatch-policy override.
         policy: Option<DispatchPolicy>,
         /// The kernel to execute.
         kernel: Kernel,
@@ -55,10 +53,9 @@ pub enum Request {
         /// Client-chosen id echoed in the matching [`Response::Stats`].
         request_id: u64,
     },
-    /// A shard-health gossip exchange (protocol version ≥ 5): the sender's
-    /// view of every shard's health, answered by a [`Response::GossipAck`]
-    /// with the receiver's merged view. Encoding one on an older link is a
-    /// [`WireError::Invalid`].
+    /// A shard-health gossip exchange: the sender's view of every shard's
+    /// health, answered by a [`Response::GossipAck`] with the receiver's
+    /// merged view.
     Gossip {
         /// Client-chosen id echoed in the matching ack.
         request_id: u64,
@@ -70,7 +67,7 @@ pub enum Request {
     },
 }
 
-/// One shard's health as carried in v5 gossip frames.
+/// One shard's health as carried in gossip frames.
 ///
 /// `status` uses the [`GOSSIP_ALIVE`]/[`GOSSIP_SUSPECT`]/
 /// [`GOSSIP_QUARANTINED`] encoding; any other value is rejected at decode
@@ -138,8 +135,8 @@ pub enum Response {
         /// Human-readable detail.
         message: String,
     },
-    /// Answer to a [`Request::Gossip`] (protocol version ≥ 5): the
-    /// receiver's health view after merging in the sender's entries.
+    /// Answer to a [`Request::Gossip`]: the receiver's health view after
+    /// merging in the sender's entries.
     GossipAck {
         /// The id from the originating `Gossip`.
         request_id: u64,
@@ -271,28 +268,20 @@ fn get_gossip_entries(r: &mut ByteReader) -> Result<Vec<GossipEntry>, WireError>
     Ok(entries)
 }
 
-/// Rejects gossip traffic on a pre-v5 link with a uniform diagnostic.
-fn require_gossip_version(version: u16) -> Result<(), WireError> {
-    if version >= 5 {
+/// The one protocol-version check: the `_v` codecs run, and a peer's
+/// `HelloAck` is accepted, only at a version this build speaks.
+///
+/// # Errors
+///
+/// [`WireError::UnsupportedVersion`] naming `version` for any other
+/// version.
+pub fn require_version(version: u16) -> Result<(), WireError> {
+    if (MIN_SUPPORTED_VERSION..=PROTOCOL_VERSION).contains(&version) {
         Ok(())
     } else {
-        Err(WireError::Invalid {
-            context: "gossip version",
-            detail: format!("gossip frames need protocol version 5, link is v{version}"),
-        })
-    }
-}
-
-/// Rejects generic family frames on a pre-v6 link with a uniform
-/// diagnostic. A v5 peer has no kernel/result tag `5`, so registry-served
-/// kernels must not be encoded toward — or accepted from — older links.
-fn require_family_version(version: u16) -> Result<(), WireError> {
-    if version >= 6 {
-        Ok(())
-    } else {
-        Err(WireError::Invalid {
-            context: "family version",
-            detail: format!("generic family frames need protocol version 6, link is v{version}"),
+        Err(WireError::UnsupportedVersion {
+            min: version,
+            max: version,
         })
     }
 }
@@ -307,15 +296,14 @@ pub fn encode_request(request: &Request) -> Result<Vec<u8>, WireError> {
 }
 
 /// Encodes one request to a frame payload at a negotiated protocol
-/// version. `Hello` encodes identically under every version (it must be
-/// readable before negotiation completes).
+/// version.
 ///
 /// # Errors
 ///
-/// [`WireError::TooLarge`] for out-of-bounds field sizes, or
-/// [`WireError::Invalid`] when the request carries a field the negotiated
-/// version cannot express (a `Submit` policy override on a v1 link).
+/// [`WireError::UnsupportedVersion`] for a version this build does not
+/// speak, or [`WireError::TooLarge`] for out-of-bounds field sizes.
 pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, WireError> {
+    require_version(version)?;
     let mut w = ByteWriter::new();
     match request {
         Request::Hello {
@@ -341,19 +329,7 @@ pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, Wire
             w.put_u64(*request_id);
             w.put_opt_u64(*timeout_ms);
             w.put_opt_u64(*seed);
-            if version >= 2 {
-                put_policy(&mut w, *policy);
-            } else if policy.is_some() {
-                return Err(WireError::Invalid {
-                    context: "submit policy",
-                    detail: format!(
-                        "dispatch-policy overrides need protocol version 2, link is v{version}"
-                    ),
-                });
-            }
-            if kernel.uses_family_frame() {
-                require_family_version(version)?;
-            }
+            put_policy(&mut w, *policy);
             put_kernel(&mut w, kernel)?;
         }
         Request::Cancel { request_id } => {
@@ -369,7 +345,6 @@ pub fn encode_request_v(request: &Request, version: u16) -> Result<Vec<u8>, Wire
             origin,
             entries,
         } => {
-            require_gossip_version(version)?;
             w.put_u8(TAG_GOSSIP);
             w.put_u64(*request_id);
             w.put_u64(*origin);
@@ -390,13 +365,15 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request, WireError> {
 }
 
 /// Decodes one request from a frame payload at a negotiated protocol
-/// version, rejecting trailing bytes. A v1 `Submit` has no policy byte;
-/// the decoded request gets `policy: None`.
+/// version, rejecting trailing bytes.
 ///
 /// # Errors
 ///
-/// Any [`WireError`] decoding variant; never panics on hostile input.
+/// Any [`WireError`] decoding variant, or
+/// [`WireError::UnsupportedVersion`] for a version this build does not
+/// speak; never panics on hostile input.
 pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError> {
+    require_version(version)?;
     let mut r = ByteReader::new(bytes);
     let request = match r.get_u8("request tag")? {
         TAG_HELLO => Request::Hello {
@@ -410,21 +387,12 @@ pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError
             let request_id = r.get_u64("submit request id")?;
             let timeout_ms = r.get_opt_u64("submit timeout")?;
             let seed = r.get_opt_u64("submit seed")?;
-            let policy = if version >= 2 {
-                get_policy(&mut r)?
-            } else {
-                None
-            };
-            let kernel = get_kernel(&mut r)?;
-            if kernel.uses_family_frame() {
-                require_family_version(version)?;
-            }
             Request::Submit {
                 request_id,
                 timeout_ms,
                 seed,
-                policy,
-                kernel,
+                policy: get_policy(&mut r)?,
+                kernel: get_kernel(&mut r)?,
             }
         }
         TAG_CANCEL => Request::Cancel {
@@ -433,14 +401,11 @@ pub fn decode_request_v(bytes: &[u8], version: u16) -> Result<Request, WireError
         TAG_GET_STATS => Request::GetStats {
             request_id: r.get_u64("stats request id")?,
         },
-        TAG_GOSSIP => {
-            require_gossip_version(version)?;
-            Request::Gossip {
-                request_id: r.get_u64("gossip request id")?,
-                origin: r.get_u64("gossip origin")?,
-                entries: get_gossip_entries(&mut r)?,
-            }
-        }
+        TAG_GOSSIP => Request::Gossip {
+            request_id: r.get_u64("gossip request id")?,
+            origin: r.get_u64("gossip origin")?,
+            entries: get_gossip_entries(&mut r)?,
+        },
         tag => {
             return Err(WireError::UnknownTag {
                 context: "request",
@@ -462,13 +427,14 @@ pub fn encode_response(response: &Response) -> Result<Vec<u8>, WireError> {
 }
 
 /// Encodes one response to a frame payload at a negotiated protocol
-/// version. `HelloAck` encodes identically under every version; `Stats`
-/// rows carry the prediction-tracking triple only at version ≥ 2.
+/// version.
 ///
 /// # Errors
 ///
-/// [`WireError::TooLarge`] for out-of-bounds field sizes.
+/// [`WireError::UnsupportedVersion`] for a version this build does not
+/// speak, or [`WireError::TooLarge`] for out-of-bounds field sizes.
 pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, WireError> {
+    require_version(version)?;
     let mut w = ByteWriter::new();
     match response {
         Response::HelloAck { version } => {
@@ -483,11 +449,6 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
             request_id,
             outcome,
         } => {
-            if let WireOutcome::Completed { result, .. } = outcome {
-                if result.uses_family_frame() {
-                    require_family_version(version)?;
-                }
-            }
             w.put_u8(TAG_JOB_RESULT);
             w.put_u64(*request_id);
             put_outcome(&mut w, outcome)?;
@@ -503,7 +464,7 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
         Response::Stats { request_id, stats } => {
             w.put_u8(TAG_STATS);
             w.put_u64(*request_id);
-            put_stats(&mut w, stats, version)?;
+            put_stats(&mut w, stats)?;
         }
         Response::Error {
             request_id,
@@ -519,7 +480,6 @@ pub fn encode_response_v(response: &Response, version: u16) -> Result<Vec<u8>, W
             request_id,
             entries,
         } => {
-            require_gossip_version(version)?;
             w.put_u8(TAG_GOSSIP_ACK);
             w.put_u64(*request_id);
             put_gossip_entries(&mut w, entries)?;
@@ -543,8 +503,11 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response, WireError> {
 ///
 /// # Errors
 ///
-/// Any [`WireError`] decoding variant; never panics on hostile input.
+/// Any [`WireError`] decoding variant, or
+/// [`WireError::UnsupportedVersion`] for a version this build does not
+/// speak; never panics on hostile input.
 pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireError> {
+    require_version(version)?;
     let mut r = ByteReader::new(bytes);
     let response = match r.get_u8("response tag")? {
         TAG_HELLO_ACK => Response::HelloAck {
@@ -553,19 +516,10 @@ pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireErr
         TAG_PONG => Response::Pong {
             token: r.get_u64("pong token")?,
         },
-        TAG_JOB_RESULT => {
-            let request_id = r.get_u64("result request id")?;
-            let outcome = get_outcome(&mut r)?;
-            if let WireOutcome::Completed { result, .. } = &outcome {
-                if result.uses_family_frame() {
-                    require_family_version(version)?;
-                }
-            }
-            Response::JobResult {
-                request_id,
-                outcome,
-            }
-        }
+        TAG_JOB_RESULT => Response::JobResult {
+            request_id: r.get_u64("result request id")?,
+            outcome: get_outcome(&mut r)?,
+        },
         TAG_CANCEL_RESULT => Response::CancelResult {
             request_id: r.get_u64("cancel request id")?,
             cancelled: match r.get_u8("cancelled flag")? {
@@ -581,20 +535,17 @@ pub fn decode_response_v(bytes: &[u8], version: u16) -> Result<Response, WireErr
         },
         TAG_STATS => Response::Stats {
             request_id: r.get_u64("stats request id")?,
-            stats: get_stats(&mut r, version)?,
+            stats: get_stats(&mut r)?,
         },
         TAG_ERROR => Response::Error {
             request_id: r.get_u64("error request id")?,
             code: ErrorCode::from_u8(r.get_u8("error code")?)?,
             message: r.get_str("error message")?,
         },
-        TAG_GOSSIP_ACK => {
-            require_gossip_version(version)?;
-            Response::GossipAck {
-                request_id: r.get_u64("gossip request id")?,
-                entries: get_gossip_entries(&mut r)?,
-            }
-        }
+        TAG_GOSSIP_ACK => Response::GossipAck {
+            request_id: r.get_u64("gossip request id")?,
+            entries: get_gossip_entries(&mut r)?,
+        },
         tag => {
             return Err(WireError::UnknownTag {
                 context: "response",
@@ -755,7 +706,6 @@ mod tests {
 
     #[test]
     fn negotiation_picks_highest_common_version() {
-        assert_eq!(negotiate(1, 1), Some(1));
         assert_eq!(negotiate(1, 99), Some(PROTOCOL_VERSION));
         assert_eq!(
             negotiate(MIN_SUPPORTED_VERSION, PROTOCOL_VERSION),
@@ -764,68 +714,14 @@ mod tests {
         // Client only speaks versions newer than ours.
         assert_eq!(negotiate(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5), None);
         // Client only speaks versions older than we support.
-        assert_eq!(negotiate(0, MIN_SUPPORTED_VERSION.wrapping_sub(1)), None);
+        assert_eq!(negotiate(0, MIN_SUPPORTED_VERSION - 1), None);
+        assert_eq!(negotiate(1, 1), None);
         // Inverted range is nonsense.
         assert_eq!(negotiate(5, 1), None);
     }
 
     #[test]
-    fn v1_submit_round_trips_without_policy_byte() {
-        let submit = Request::Submit {
-            request_id: 11,
-            timeout_ms: Some(100),
-            seed: Some(5),
-            policy: None,
-            kernel: Kernel::Factor { n: 21 },
-        };
-        let v1 = encode_request_v(&submit, 1).unwrap();
-        let v2 = encode_request_v(&submit, 2).unwrap();
-        // The v2 frame carries exactly one extra byte: the policy slot.
-        assert_eq!(v2.len(), v1.len() + 1);
-        assert_eq!(decode_request_v(&v1, 1).unwrap(), submit);
-        // A v1 frame is NOT a valid v2 frame (the decoder would read the
-        // kernel tag as a policy byte) — versions must be negotiated.
-        assert_ne!(v1, v2);
-    }
-
-    #[test]
-    fn v1_cannot_carry_policy_override() {
-        let submit = Request::Submit {
-            request_id: 11,
-            timeout_ms: None,
-            seed: None,
-            policy: Some(DispatchPolicy::DeadlineAware),
-            kernel: Kernel::Factor { n: 21 },
-        };
-        assert!(matches!(
-            encode_request_v(&submit, 1),
-            Err(WireError::Invalid {
-                context: "submit policy",
-                ..
-            })
-        ));
-        assert!(encode_request_v(&submit, 2).is_ok());
-    }
-
-    #[test]
-    fn hello_and_ack_encode_identically_across_versions() {
-        let hello = Request::Hello {
-            min_version: 1,
-            max_version: 2,
-        };
-        assert_eq!(
-            encode_request_v(&hello, 1).unwrap(),
-            encode_request_v(&hello, 2).unwrap()
-        );
-        let ack = Response::HelloAck { version: 1 };
-        assert_eq!(
-            encode_response_v(&ack, 1).unwrap(),
-            encode_response_v(&ack, 2).unwrap()
-        );
-    }
-
-    #[test]
-    fn gossip_round_trips_at_v5() {
+    fn gossip_round_trips() {
         let gossip = Request::Gossip {
             request_id: 40,
             origin: u64::MAX,
@@ -844,8 +740,7 @@ mod tests {
                 },
             ],
         };
-        let bytes = encode_request_v(&gossip, 5).unwrap();
-        assert_eq!(decode_request_v(&bytes, 5).unwrap(), gossip);
+        assert_eq!(round_trip_request(&gossip), gossip);
         let ack = Response::GossipAck {
             request_id: 40,
             entries: vec![GossipEntry {
@@ -855,33 +750,7 @@ mod tests {
                 epoch: 14,
             }],
         };
-        let bytes = encode_response_v(&ack, 5).unwrap();
-        assert_eq!(decode_response_v(&bytes, 5).unwrap(), ack);
-    }
-
-    #[test]
-    fn gossip_refused_on_pre_v5_links() {
-        let gossip = Request::Gossip {
-            request_id: 1,
-            origin: 0,
-            entries: vec![],
-        };
-        let bytes = encode_request_v(&gossip, 5).unwrap();
-        for version in 1..5 {
-            assert!(matches!(
-                encode_request_v(&gossip, version),
-                Err(WireError::Invalid {
-                    context: "gossip version",
-                    ..
-                })
-            ));
-            assert!(decode_request_v(&bytes, version).is_err());
-        }
-        let ack = Response::GossipAck {
-            request_id: 1,
-            entries: vec![],
-        };
-        assert!(encode_response_v(&ack, 4).is_err());
+        assert_eq!(round_trip_response(&ack), ack);
     }
 
     #[test]
@@ -896,48 +765,21 @@ mod tests {
                 epoch: 1,
             }],
         };
-        let mut bytes = encode_request_v(&good, 5).unwrap();
+        let mut bytes = encode_request(&good).unwrap();
         // The status byte sits after tag + request_id + origin + count + shard.
         let status_at = 1 + 8 + 8 + 4 + 4;
         bytes[status_at] = 3;
         assert!(matches!(
-            decode_request_v(&bytes, 5),
+            decode_request(&bytes),
             Err(WireError::Invalid {
                 context: "gossip status",
                 ..
             })
         ));
         // A hostile entry count is bounded by the bytes actually present.
-        let mut short = encode_request_v(&good, 5).unwrap();
+        let mut short = encode_request(&good).unwrap();
         short[1 + 8 + 8 + 3] = 200;
-        assert!(decode_request_v(&short, 5).is_err());
-    }
-
-    #[test]
-    fn v5_encoding_of_v4_messages_is_byte_identical() {
-        let submit = Request::Submit {
-            request_id: 7,
-            timeout_ms: Some(250),
-            seed: Some(42),
-            policy: Some(DispatchPolicy::MinPredictedLatency),
-            kernel: Kernel::Factor { n: 77 },
-        };
-        assert_eq!(
-            encode_request_v(&submit, 4).unwrap(),
-            encode_request_v(&submit, 5).unwrap()
-        );
-        let stats = Response::Stats {
-            request_id: 9,
-            stats: RuntimeStats {
-                submitted: 5,
-                completed: 5,
-                ..RuntimeStats::default()
-            },
-        };
-        assert_eq!(
-            encode_response_v(&stats, 4).unwrap(),
-            encode_response_v(&stats, 5).unwrap()
-        );
+        assert!(decode_request(&short).is_err());
     }
 
     fn family_submit() -> Request {
@@ -955,10 +797,9 @@ mod tests {
     }
 
     #[test]
-    fn family_submit_round_trips_at_v6() {
+    fn family_submit_round_trips() {
         let submit = family_submit();
-        let bytes = encode_request_v(&submit, 6).unwrap();
-        assert_eq!(decode_request_v(&bytes, 6).unwrap(), submit);
+        assert_eq!(round_trip_request(&submit), submit);
         let result = Response::JobResult {
             request_id: 21,
             outcome: WireOutcome::Completed {
@@ -974,77 +815,76 @@ mod tests {
                 wall_nanos: 900,
             },
         };
-        let bytes = encode_response_v(&result, 6).unwrap();
-        assert_eq!(decode_response_v(&bytes, 6).unwrap(), result);
+        assert_eq!(round_trip_response(&result), result);
     }
 
+    /// Every versioned codec refuses any version but the one this build
+    /// speaks, whatever the message: policy overrides, gossip and family
+    /// frames included.
     #[test]
-    fn family_frames_refused_on_pre_v6_links() {
-        let submit = family_submit();
-        let bytes = encode_request_v(&submit, 6).unwrap();
-        for version in 1..6 {
-            assert!(matches!(
-                encode_request_v(&submit, version),
-                Err(WireError::Invalid {
-                    context: "family version",
-                    ..
-                })
-            ));
-            assert!(decode_request_v(&bytes, version).is_err());
+    fn versioned_codecs_refuse_every_other_version() {
+        fn refused<T>(r: Result<T, WireError>) -> bool {
+            matches!(r, Err(WireError::UnsupportedVersion { .. }))
         }
-        let result = Response::JobResult {
-            request_id: 1,
-            outcome: WireOutcome::Completed {
-                backend: "cpu".into(),
-                result: KernelResult::Family(FamilyResult::Qubo {
-                    bits: vec![true],
-                    energy: -1.0,
-                }),
-                cost: CostReport {
-                    device_seconds: 1e-9,
-                    operations: 1,
-                },
-                wall_nanos: 10,
-            },
-        };
-        assert!(matches!(
-            encode_response_v(&result, 5),
-            Err(WireError::Invalid {
-                context: "family version",
-                ..
-            })
-        ));
-        let bytes = encode_response_v(&result, 6).unwrap();
-        assert!(decode_response_v(&bytes, 5).is_err());
-    }
-
-    #[test]
-    fn v6_encoding_of_v5_messages_is_byte_identical() {
-        let submit = Request::Submit {
-            request_id: 7,
-            timeout_ms: Some(250),
-            seed: Some(42),
-            policy: Some(DispatchPolicy::MinPredictedLatency),
-            kernel: Kernel::Factor { n: 77 },
-        };
-        assert_eq!(
-            encode_request_v(&submit, 5).unwrap(),
-            encode_request_v(&submit, 6).unwrap()
-        );
         let gossip = Request::Gossip {
-            request_id: 40,
-            origin: 2,
-            entries: vec![GossipEntry {
-                shard: 0,
-                status: GOSSIP_ALIVE,
-                failures: 0,
-                epoch: 12,
-            }],
+            request_id: 1,
+            origin: 0,
+            entries: vec![],
         };
-        assert_eq!(
-            encode_request_v(&gossip, 5).unwrap(),
-            encode_request_v(&gossip, 6).unwrap()
-        );
+        let policy = Request::Submit {
+            request_id: 11,
+            timeout_ms: None,
+            seed: None,
+            policy: Some(DispatchPolicy::DeadlineAware),
+            kernel: Kernel::Factor { n: 21 },
+        };
+        let requests = [
+            Request::Hello {
+                min_version: 1,
+                max_version: 2,
+            },
+            policy,
+            gossip,
+            family_submit(),
+        ];
+        let responses = [
+            Response::HelloAck { version: 1 },
+            Response::GossipAck {
+                request_id: 1,
+                entries: vec![],
+            },
+            Response::JobResult {
+                request_id: 1,
+                outcome: WireOutcome::Completed {
+                    backend: "cpu".into(),
+                    result: KernelResult::Family(FamilyResult::Qubo {
+                        bits: vec![true],
+                        energy: -1.0,
+                    }),
+                    cost: CostReport {
+                        device_seconds: 1e-9,
+                        operations: 1,
+                    },
+                    wall_nanos: 10,
+                },
+            },
+            Response::Stats {
+                request_id: 9,
+                stats: RuntimeStats::default(),
+            },
+        ];
+        for version in (1..PROTOCOL_VERSION).chain([PROTOCOL_VERSION + 1]) {
+            for request in &requests {
+                let bytes = encode_request(request).unwrap();
+                assert!(refused(encode_request_v(request, version)), "v{version}");
+                assert!(refused(decode_request_v(&bytes, version)), "v{version}");
+            }
+            for response in &responses {
+                let bytes = encode_response(response).unwrap();
+                assert!(refused(encode_response_v(response, version)), "v{version}");
+                assert!(refused(decode_response_v(&bytes, version)), "v{version}");
+            }
+        }
     }
 
     #[test]
@@ -1060,12 +900,12 @@ mod tests {
                     epoch: 2,
                 }],
             },
-            5,
+            PROTOCOL_VERSION,
         )
         .unwrap();
         for cut in 0..full.len() {
             assert!(
-                decode_request_v(&full[..cut], 5).is_err(),
+                decode_request_v(&full[..cut], PROTOCOL_VERSION).is_err(),
                 "truncation at {cut} must error"
             );
         }

@@ -14,7 +14,7 @@
 //! [--jobs N] [--workers N] [--queue N] [--shards N] [--policy P]
 //! [--chaos] [--seed N] [--mix M] [--dup-ratio R]` where `P` is one of
 //! `prefer-specialized`, `cpu-only`, `min-latency`, `min-energy`, or
-//! `deadline`. The policy rides the protocol-v2 per-job `Submit` field,
+//! `deadline`. The policy rides the per-job `Submit` policy field,
 //! and when it differs from `prefer-specialized` the run also reports
 //! how many jobs the cost-model planner routed differently.
 //!
@@ -241,8 +241,8 @@ fn run_client(
     let started = Instant::now();
     let mut tickets = Vec::with_capacity(mine.len());
     for &i in &mine {
-        // The per-job override rides the protocol-v2 Submit field, so
-        // every submission exercises the new wire path.
+        // The per-job override rides the Submit policy field, so every
+        // submission exercises the policy byte on the wire.
         let options = SubmitOptions::with_seed(seeds[i]).policy(policy);
         let ticket = client
             .submit(workload[i].clone(), options)

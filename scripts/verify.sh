@@ -62,7 +62,7 @@ echo "$dup_out" | grep -q "cached and cold runs agree byte-for-byte" \
 
 echo "==> smoke: loadgen coloring-heavy (v6 family frames + cross-wire determinism)"
 # Three of four jobs ride the protocol-v6 generic family frame; the rest
-# stay on native v1 frames over the same connections. loadgen asserts the
+# stay on native kernel tags over the same connections. loadgen asserts the
 # networked results match a direct replay byte-for-byte.
 col_out=$(timeout 180 cargo run --release --example loadgen -- --clients 2 --jobs 40 \
   --workers 2 --mix coloring-heavy)

@@ -40,7 +40,6 @@ fn slow_kernel() -> Kernel {
 fn end_to_end_mixed_workload() {
     let server = test_server(2, 4);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_VERSION);
     client.ping(0xBEEF).unwrap();
 
     let workload = mixed_workload(12, 7).unwrap();
@@ -264,28 +263,76 @@ fn garbage_bytes_answered_with_error_frame_and_server_survives() {
 #[test]
 fn wrong_version_hello_refused() {
     let server = test_server(1, 2);
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    let hello = encode_request(&Request::Hello {
-        min_version: PROTOCOL_VERSION + 1,
-        max_version: PROTOCOL_VERSION + 5,
-    })
-    .unwrap();
-    write_frame(&mut stream, &hello).unwrap();
-    let payload = read_frame(&mut stream).unwrap();
-    match wire::decode_response(&payload).unwrap() {
-        Response::Error {
-            request_id,
-            code,
-            message,
-        } => {
-            assert_eq!(request_id, 0);
-            assert_eq!(code, ErrorCode::UnsupportedVersion);
-            assert!(message.contains(&MIN_SUPPORTED_VERSION.to_string()));
+    let live = format!("{MIN_SUPPORTED_VERSION}..={PROTOCOL_VERSION}");
+    assert_eq!(live, "6..=6");
+    // An only-newer and an only-older client are both refused with the
+    // live range named, and the connection closes.
+    for (min_version, max_version) in [(PROTOCOL_VERSION + 1, PROTOCOL_VERSION + 5), (1, 5)] {
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let hello = encode_request(&Request::Hello {
+            min_version,
+            max_version,
+        })
+        .unwrap();
+        write_frame(&mut stream, &hello).unwrap();
+        let payload = read_frame(&mut stream).unwrap();
+        match wire::decode_response(&payload).unwrap() {
+            Response::Error {
+                request_id,
+                code,
+                message,
+            } => {
+                assert_eq!(request_id, 0);
+                assert_eq!(code, ErrorCode::UnsupportedVersion);
+                assert!(message.contains(&live), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
         }
-        other => panic!("unexpected {other:?}"),
+        let mut rest = Vec::new();
+        stream.read_to_end(&mut rest).unwrap();
+        assert!(
+            rest.is_empty(),
+            "{min_version}..={max_version}: no frame after the refusal"
+        );
     }
-    drop(stream);
     let _ = server.shutdown();
+}
+
+/// A peer that answers the first `Hello` with `HelloAck { version }`,
+/// whatever range the `Hello` offered, then hangs up.
+fn one_shot_acker(version: u16) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let handle = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        read_frame(&mut stream).unwrap();
+        let ack = wire::encode_response(&Response::HelloAck { version }).unwrap();
+        write_frame(&mut stream, &ack).unwrap();
+    });
+    (addr, handle)
+}
+
+#[test]
+fn client_and_router_refuse_an_ack_for_another_version() {
+    let (addr, peer) = one_shot_acker(5);
+    match Client::connect(addr) {
+        Err(ClientError::VersionRejected(message)) => assert!(message.contains("v5"), "{message}"),
+        Err(other) => panic!("unexpected {other:?}"),
+        Ok(_) => panic!("a v5 ack must be refused"),
+    }
+    peer.join().unwrap();
+    // The router's handshake refuses the same ack, so the shard never
+    // becomes a live link.
+    let (addr, peer) = one_shot_acker(5);
+    match cluster::Router::connect(&[addr], cluster::RouterConfig::default()) {
+        Err(cluster::RouterError::NoLiveShards) => {}
+        Err(other) => panic!("unexpected {other:?}"),
+        Ok(_) => panic!("a v5 ack must be refused"),
+    }
+    peer.join().unwrap();
 }
 
 #[test]
@@ -375,41 +422,9 @@ fn cancel_during_drain_yields_typed_outcome_not_dropped_connection() {
 }
 
 #[test]
-fn v1_client_negotiates_down_and_serves() {
-    // A client that only speaks protocol v1 must still get full service
-    // from a v2 server: the connection negotiates down and every frame
-    // after the ack uses the v1 layout.
-    let server = test_server(1, 2);
-    let mut client = Client::connect_with_range(server.local_addr(), 1, 1).unwrap();
-    assert_eq!(client.version(), 1);
-    client.ping(0xA11CE).unwrap();
-    match client
-        .run(Kernel::Factor { n: 21 }, SubmitOptions::with_seed(3))
-        .unwrap()
-    {
-        WireOutcome::Completed { result, .. } => match result {
-            KernelResult::Factors(p, q) => assert_eq!(p * q, 21),
-            other => panic!("unexpected {other:?}"),
-        },
-        other => panic!("unexpected {other:?}"),
-    }
-    // Stats decode under the v1 row layout (no prediction triple), so
-    // the calibration fields sit at their defaults.
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.completed, 1);
-    for t in stats.per_backend.values() {
-        assert_eq!(t.predicted_device_seconds, 0.0);
-        assert_eq!(t.ewma_correction, 1.0);
-    }
-    drop(client);
-    let _ = server.shutdown();
-}
-
-#[test]
-fn v2_stats_carry_prediction_fields_over_the_wire() {
+fn stats_carry_prediction_fields_over_the_wire() {
     let server = test_server(1, 2);
     let mut client = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(client.version(), PROTOCOL_VERSION);
     assert!(client
         .run(Kernel::Factor { n: 35 }, SubmitOptions::with_seed(5))
         .unwrap()
@@ -417,43 +432,28 @@ fn v2_stats_carry_prediction_fields_over_the_wire() {
     let stats = client.stats().unwrap();
     assert!(
         stats.total_predicted_device_seconds() > 0.0,
-        "v2 stats must carry the planner's predictions across the wire"
+        "stats must carry the planner's predictions across the wire"
     );
     drop(client);
     let _ = server.shutdown();
 }
 
 #[test]
-fn policy_override_needs_v2_connection() {
+fn policy_override_reroutes_compare_to_cpu() {
     let server = test_server(1, 2);
-    // On a v1 link the client refuses to encode the override ...
-    let mut v1 = Client::connect_with_range(server.local_addr(), 1, 1).unwrap();
-    let options = SubmitOptions::with_policy(DispatchPolicy::MinPredictedLatency);
-    match v1.submit(Kernel::Compare { x: 0.2, y: 0.8 }, options) {
-        Err(ClientError::Wire(wire::WireError::Invalid { .. })) => {}
-        other => panic!("unexpected {other:?}"),
-    }
-    // ... and the connection stays healthy for policy-free submissions.
-    assert!(v1
-        .run(
-            Kernel::Compare { x: 0.2, y: 0.8 },
-            SubmitOptions::with_seed(1)
-        )
-        .unwrap()
-        .is_completed());
-    drop(v1);
-
-    // On a v2 link the same override rides the Submit frame and reroutes
-    // the job: Compare normally lands on the oscillator, but the cost
-    // model knows the CPU comparison is cheaper than an analog readout
-    // window.
-    let mut v2 = Client::connect(server.local_addr()).unwrap();
+    // The override rides the Submit frame and reroutes the job: Compare
+    // normally lands on the oscillator, but the cost model knows the CPU
+    // comparison is cheaper than an analog readout window.
+    let mut client = Client::connect(server.local_addr()).unwrap();
     let options = SubmitOptions::with_seed(1).policy(DispatchPolicy::MinPredictedLatency);
-    match v2.run(Kernel::Compare { x: 0.2, y: 0.8 }, options).unwrap() {
+    match client
+        .run(Kernel::Compare { x: 0.2, y: 0.8 }, options)
+        .unwrap()
+    {
         WireOutcome::Completed { backend, .. } => assert_eq!(backend, "cpu"),
         other => panic!("unexpected {other:?}"),
     }
-    match v2
+    match client
         .run(
             Kernel::Compare { x: 0.2, y: 0.8 },
             SubmitOptions::with_seed(1),
@@ -463,6 +463,6 @@ fn policy_override_needs_v2_connection() {
         WireOutcome::Completed { backend, .. } => assert_eq!(backend, "oscillator"),
         other => panic!("unexpected {other:?}"),
     }
-    drop(v2);
+    drop(client);
     let _ = server.shutdown();
 }
