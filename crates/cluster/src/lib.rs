@@ -5,11 +5,12 @@
 //! reached *as services* long before they are linked as libraries — which
 //! means the serving layer in front of them has to scale past one host.
 //! This crate supplies the three pieces of that tier, all `std`-only and
-//! fully offline:
+//! fully offline (the one foreign call is Linux `poll(2)`, from the libc
+//! `std` already links):
 //!
 //! * [`poll`] — a readiness-driven event loop over non-blocking TCP (an
-//!   own miniature mio: tokens, an event queue, a cross-thread waker),
-//!   plus [`pool::WorkerPool`], a fixed pool that replaces per-job waiter
+//!   own miniature mio: tokens, an event queue, a socket-pair waker), in
+//!   which one `poll(2)` call waits for every socket at once, plus [`pool::WorkerPool`], a fixed pool that replaces per-job waiter
 //!   threads, and [`frame::FrameBuffer`], incremental reassembly of
 //!   length-prefixed wire frames from partial reads.
 //! * [`router`] — a front-end that shards submissions across N runtime

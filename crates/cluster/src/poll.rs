@@ -1,38 +1,80 @@
 //! A miniature readiness-driven event loop over non-blocking TCP.
 //!
-//! `std` exposes no portable `epoll`/`kqueue` wrapper, so this module
-//! builds readiness the only way the standard library allows while
-//! staying fully offline: sockets are switched to non-blocking mode and
-//! probed with zero-consumption [`TcpStream::peek`] calls. Between scans
-//! the loop parks on a condvar in short slices, so a cross-thread
-//! [`Waker`] (job completions, shutdown) interrupts the park immediately
-//! and an idle loop costs no busy-wait — the hot path never sleeps while
-//! there is work, and the cold path never spins.
+//! `std` exposes no readiness API, so this module declares the one
+//! foreign function it needs, Linux `poll(2)`, from the libc that `std`
+//! already links (no crate is added). [`Poll::poll`] hands the kernel one
+//! `pollfd` set — the waker socket, every listener and every unmuted
+//! stream — and blocks until the kernel reports readiness, a [`Waker`]
+//! (job completions, shutdown) writes its byte, or the timeout passes.
+//! Peer bytes therefore end the wait as soon as they land: the hot path
+//! never sleeps while there is work, and the cold path never spins.
 //!
 //! # Semantics
 //!
 //! * **Level-triggered.** A stream with buffered bytes reports
 //!   [`Event::Readable`] on every poll until drained; owners read until
 //!   `WouldBlock`.
-//! * **EOF is readable.** A half-closed peer reports `Readable`; the
-//!   owner's next read observes the end-of-stream and must deregister,
-//!   otherwise the poll keeps reporting readiness (that is what
-//!   level-triggered means).
+//! * **EOF is readable.** A half-closed peer (`POLLHUP`) reports
+//!   `Readable`; the owner's next read observes the end-of-stream and
+//!   must deregister, otherwise the poll keeps reporting readiness (that
+//!   is what level-triggered means). A stream with bytes or EOF pending is
+//!   `Readable` even if an error is pending too, so the owner reads what
+//!   the peer sent before the error, in `read(2)` order.
 //! * **No write events.** Non-blocking writes fail fast with
 //!   `WouldBlock`; callers keep per-connection outboxes and retry flushes
 //!   each loop iteration instead of tracking write interest.
 
-use crate::sync::lock_or_recover;
 use std::collections::BTreeMap;
-use std::io::{self, ErrorKind, Read};
+use std::ffi::{c_int, c_short, c_ulong};
+use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
+use std::time::Duration;
 
-/// How long one condvar park slice lasts. Socket readiness cannot signal
-/// the condvar, so this bounds the latency between a peer's bytes
-/// arriving and the loop noticing them while idle.
-const PARK_SLICE: Duration = Duration::from_millis(1);
+/// `struct pollfd` from `<poll.h>`.
+#[repr(C)]
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// Blocks in `poll(2)` until an entry of `fds` is ready or `timeout`
+/// passes, rounded up to whole milliseconds so a sub-millisecond wait
+/// never degrades into a spin. Returns how many entries have `revents`
+/// set; a signal interrupting the wait counts as a timeout (`Ok(0)`).
+fn sys_poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    let ms = timeout.as_nanos().div_ceil(1_000_000);
+    let ms = c_int::try_from(ms).unwrap_or(c_int::MAX);
+    let nfds = c_ulong::try_from(fds.len()).unwrap_or(c_ulong::MAX);
+    // SAFETY: `fds` is a live, exclusively borrowed slice of `#[repr(C)]`
+    // `pollfd` records and `nfds` is its length, so the kernel reads and
+    // writes only inside it; the call retains no pointer past its return.
+    // lint:allow(eventloop, reason = "the park itself: the one place the loop blocks, ended by readiness, the waker socket or the timeout")
+    let ready = unsafe { poll(fds.as_mut_ptr(), nfds, ms) };
+    if ready >= 0 {
+        return Ok(usize::try_from(ready).unwrap_or(0));
+    }
+    let err = io::Error::last_os_error();
+    if err.kind() == ErrorKind::Interrupted {
+        Ok(0)
+    } else {
+        Err(err)
+    }
+}
 
 /// An opaque registration handle, unique per [`Poll`] for its lifetime.
 /// Tokens are never reused, so a stale token in a late completion can
@@ -55,36 +97,27 @@ pub enum Event {
     },
     /// A registered stream has bytes to read (or a pending EOF).
     Readable(Token),
-    /// A registered stream failed its readiness probe with a real error
-    /// (not `WouldBlock`); the owner should deregister it.
+    /// A registered stream reported an error condition with nothing left
+    /// to read (`POLLERR`/`POLLNVAL`); the owner should deregister it.
     Closed(Token),
 }
 
-/// Cross-thread wake signal: a flag under a mutex plus a condvar. The
-/// poll loop parks here between scans; any thread holding a [`Waker`]
-/// can cut the park short.
-#[derive(Debug, Default)]
-struct WakeSignal {
-    flag: Mutex<bool>,
-    cond: Condvar,
-}
-
 /// A cheap, cloneable handle that interrupts [`Poll::poll`] from another
-/// thread — the stand-in for mio's `Waker`.
+/// thread — the stand-in for mio's `Waker`. It owns the write end of a
+/// non-blocking socket pair whose read end sits in every poll set.
 #[derive(Debug, Clone)]
 pub struct Waker {
-    signal: Arc<WakeSignal>,
+    tx: Arc<UnixStream>,
 }
 
 impl Waker {
-    /// Wakes the owning [`Poll`] if it is parked, or makes its next park
-    /// return immediately if it is mid-scan.
+    /// Wakes the owning [`Poll`] if it is blocked, or makes its next poll
+    /// return immediately if it is not.
     pub fn wake(&self) {
-        // lint:allow(eventloop, reason = "bounded hold: the wake flag is a bool set-and-notify, never held across work")
-        let mut flag = lock_or_recover(&self.signal.flag);
-        *flag = true;
-        drop(flag);
-        self.signal.cond.notify_all();
+        // A full socket (`WouldBlock`) already holds a pending wake, and
+        // a wake after the poll is gone has nobody to wake: both are
+        // fine to drop.
+        let _ = (&*self.tx).write(&[1]);
     }
 }
 
@@ -92,46 +125,60 @@ impl Waker {
 struct StreamEntry {
     stream: TcpStream,
     /// Muted streams stay registered (writable via [`Poll::stream`]) but
-    /// are skipped by the readiness scan — how an owner stops consuming
+    /// are left out of the readiness set — how an owner stops consuming
     /// a connection (backpressure, half-close) without a hot loop of
     /// redundant `Readable` events.
     muted: bool,
 }
 
-/// The event loop core: registered listeners and streams, an event
-/// queue, and the park/wake signal. Owned by exactly one loop thread;
-/// only [`Waker`] handles cross threads.
+/// Who owns one entry of the `pollfd` set.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Wake,
+    Listener(u64),
+    Stream(u64),
+}
+
+/// The event loop core: registered listeners and streams, the waker
+/// socket, and the reusable `pollfd` set. Owned by exactly one loop
+/// thread; only [`Waker`] handles cross threads.
 #[derive(Debug)]
 pub struct Poll {
     listeners: BTreeMap<u64, TcpListener>,
     streams: BTreeMap<u64, StreamEntry>,
-    signal: Arc<WakeSignal>,
+    wake_rx: UnixStream,
+    wake_tx: Arc<UnixStream>,
+    fds: Vec<PollFd>,
+    slots: Vec<Slot>,
     next_token: u64,
-}
-
-impl Default for Poll {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl Poll {
     /// An empty poll with no registrations.
-    #[must_use]
-    pub fn new() -> Self {
-        Poll {
+    ///
+    /// # Errors
+    ///
+    /// Creating or configuring the waker's socket pair failed.
+    pub fn new() -> io::Result<Self> {
+        let (wake_rx, wake_tx) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake_tx.set_nonblocking(true)?;
+        Ok(Poll {
             listeners: BTreeMap::new(),
             streams: BTreeMap::new(),
-            signal: Arc::new(WakeSignal::default()),
+            wake_rx,
+            wake_tx: Arc::new(wake_tx),
+            fds: Vec::new(),
+            slots: Vec::new(),
             next_token: 0,
-        }
+        })
     }
 
     /// A handle other threads can use to interrupt [`Poll::poll`].
     #[must_use]
     pub fn waker(&self) -> Waker {
         Waker {
-            signal: Arc::clone(&self.signal),
+            tx: Arc::clone(&self.wake_tx),
         }
     }
 
@@ -163,7 +210,7 @@ impl Poll {
         self.streams.remove(&token.0).map(|entry| entry.stream)
     }
 
-    /// Stops scanning `token` for readiness without deregistering it.
+    /// Leaves `token` out of the readiness set without deregistering it.
     /// The stream stays writable via [`Poll::stream`]; use for
     /// backpressure (stop consuming a connection that is ahead of the
     /// runtime) and for half-closed peers awaiting a final flush, where
@@ -174,7 +221,7 @@ impl Poll {
         }
     }
 
-    /// Resumes readiness scanning for a muted stream.
+    /// Puts a muted stream back into the readiness set.
     pub fn unmute(&mut self, token: Token) {
         if let Some(entry) = self.streams.get_mut(&token.0) {
             entry.muted = false;
@@ -194,96 +241,65 @@ impl Poll {
         self.streams.get(&token.0).map(|entry| &entry.stream)
     }
 
-    /// Scans for readiness, parking up to `timeout` if nothing is ready.
+    /// Waits up to `timeout` for readiness and reports it.
     ///
-    /// Appends events to `events` and returns how many were added. Returns
-    /// early (possibly with zero events) when a [`Waker`] fires, so the
-    /// caller can service cross-thread work like completion queues.
+    /// Appends events to `events` and returns how many were added. One
+    /// `poll(2)` call covers the waker socket, every listener and every
+    /// unmuted stream; it returns early (possibly with zero events) when
+    /// a [`Waker`] fires, so the caller can service cross-thread work like
+    /// completion queues. A ready listener has its whole accept backlog
+    /// drained into [`Event::Accepted`]s.
     pub fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<usize> {
-        // lint:allow(wall-clock, reason = "park-deadline accounting; never feeds a result")
-        let deadline = Instant::now() + timeout;
         let before = events.len();
-        loop {
-            self.scan(events)?;
-            if events.len() > before || self.take_wake() {
-                return Ok(events.len() - before);
-            }
-            // lint:allow(wall-clock, reason = "park-deadline accounting; never feeds a result")
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(0);
-            }
-            let slice = PARK_SLICE.min(deadline - now);
-            if self.park(slice) {
-                return Ok(0);
-            }
-        }
-    }
-
-    /// One pass over every registration.
-    fn scan(&mut self, events: &mut Vec<Event>) -> io::Result<usize> {
-        let before = events.len();
+        self.fds.clear();
+        self.slots.clear();
+        let entry = |fd: RawFd| PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        self.fds.push(entry(self.wake_rx.as_raw_fd()));
+        self.slots.push(Slot::Wake);
         for (&tok, listener) in &self.listeners {
-            // Drain the accept backlog; each poll call reports every
-            // connection that is already queued.
-            loop {
-                match listener.accept() {
-                    Ok((stream, peer)) => {
-                        stream.set_nonblocking(true)?;
-                        events.push(Event::Accepted {
-                            listener: Token(tok),
-                            stream,
-                            peer,
-                        });
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    // Transient per-connection accept failures (peer reset
-                    // mid-handshake) are not listener failures.
-                    Err(_) => break,
-                }
+            self.fds.push(entry(listener.as_raw_fd()));
+            self.slots.push(Slot::Listener(tok));
+        }
+        for (&tok, stream) in &self.streams {
+            if !stream.muted {
+                self.fds.push(entry(stream.stream.as_raw_fd()));
+                self.slots.push(Slot::Stream(tok));
             }
         }
-        let mut probe = [0u8; 1];
-        for (&tok, entry) in &self.streams {
-            if entry.muted {
+        if sys_poll(&mut self.fds, timeout)? == 0 {
+            return Ok(0);
+        }
+        for (fd, &slot) in self.fds.iter().zip(&self.slots) {
+            if fd.revents == 0 {
                 continue;
             }
-            match entry.stream.peek(&mut probe) {
-                // Ok(0) is EOF: readable in the level-triggered sense —
-                // the owner's read returns 0 and handles the close.
-                Ok(_) => events.push(Event::Readable(Token(tok))),
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => events.push(Event::Closed(Token(tok))),
+            match slot {
+                Slot::Wake => self.drain_wakes(),
+                Slot::Listener(tok) => {
+                    if let Some(listener) = self.listeners.get(&tok) {
+                        accept_backlog(Token(tok), listener, events)?;
+                    }
+                }
+                Slot::Stream(tok) => {
+                    if fd.revents & (POLLIN | POLLHUP) != 0 {
+                        events.push(Event::Readable(Token(tok)));
+                    } else if fd.revents & (POLLERR | POLLNVAL) != 0 {
+                        events.push(Event::Closed(Token(tok)));
+                    }
+                }
             }
         }
         Ok(events.len() - before)
     }
 
-    /// Parks up to `slice`, returning `true` if a waker fired.
-    fn park(&self, slice: Duration) -> bool {
-        // lint:allow(eventloop, reason = "the park itself: this is where the loop is designed to block, for one bounded slice")
-        let flag = lock_or_recover(&self.signal.flag);
-        if *flag {
-            drop(flag);
-            return self.take_wake();
-        }
-        // lint:allow(eventloop, reason = "the park itself: bounded by `slice`, interrupted by any waker")
-        let (mut flag, _timed_out) = match self.signal.cond.wait_timeout(flag, slice) {
-            Ok(pair) => pair,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let woken = *flag;
-        *flag = false;
-        woken
-    }
-
-    /// Consumes a pending wake, if any.
-    fn take_wake(&self) -> bool {
-        // lint:allow(eventloop, reason = "bounded hold: swaps the wake flag, nothing else under the guard")
-        let mut flag = lock_or_recover(&self.signal.flag);
-        std::mem::replace(&mut *flag, false)
+    /// Empties the waker socket so the next poll blocks again.
+    fn drain_wakes(&self) {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
     }
 
     fn alloc(&mut self) -> Token {
@@ -293,34 +309,52 @@ impl Poll {
     }
 }
 
-/// Blocks until `stream` is readable (bytes or EOF), a real error
-/// surfaces, or `timeout` elapses. Returns `Ok(true)` when readable,
+/// Drains a ready listener's accept backlog into `events`.
+fn accept_backlog(tok: Token, listener: &TcpListener, events: &mut Vec<Event>) -> io::Result<()> {
+    loop {
+        match listener.accept() {
+            Ok((stream, peer)) => {
+                stream.set_nonblocking(true)?;
+                events.push(Event::Accepted {
+                    listener: tok,
+                    stream,
+                    peer,
+                });
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // `WouldBlock` ends the backlog; transient per-connection
+            // accept failures (peer reset mid-handshake) are not listener
+            // failures.
+            Err(_) => return Ok(()),
+        }
+    }
+}
+
+/// Blocks until `stream` is readable (bytes, EOF, or an error the next
+/// read reports) or `timeout` elapses. Returns `Ok(true)` when readable,
 /// `Ok(false)` on timeout.
 ///
-/// The client-side counterpart to [`Poll`]: router shard links are plain
-/// non-blocking sockets without a loop thread, and their blocking waits
-/// go through here instead of a sleep-and-retry read. The stream must
-/// already be in non-blocking mode — on a blocking stream the readiness
-/// probe itself would park indefinitely.
+/// The client-side counterpart to [`Poll`]: router shard links have no
+/// loop thread, and their blocking waits go through one `poll(2)` on the
+/// link's socket instead of a sleep-and-retry read.
 pub fn wait_readable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
-    // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-    let deadline = Instant::now() + timeout;
-    let mut probe = [0u8; 1];
-    loop {
-        match stream.peek(&mut probe) {
-            Ok(_) => return Ok(true),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        // lint:allow(wall-clock, reason = "wait-deadline accounting; never feeds a result")
-        let now = Instant::now();
-        if now >= deadline {
-            return Ok(false);
-        }
-        // lint:allow(eventloop, reason = "bounded park slice on the client-side wait path; capped by PARK_SLICE and the caller's deadline")
-        std::thread::sleep(PARK_SLICE.min(deadline - now));
-    }
+    wait_one(stream, POLLIN, timeout)
+}
+
+/// Blocks until `stream` can take more bytes (or has failed, which the
+/// next write reports) or `timeout` elapses. Returns `Ok(true)` when
+/// writable, `Ok(false)` on timeout.
+pub fn wait_writable(stream: &TcpStream, timeout: Duration) -> io::Result<bool> {
+    wait_one(stream, POLLOUT, timeout)
+}
+
+fn wait_one(stream: &TcpStream, events: c_short, timeout: Duration) -> io::Result<bool> {
+    let mut fd = [PollFd {
+        fd: stream.as_raw_fd(),
+        events,
+        revents: 0,
+    }];
+    Ok(sys_poll(&mut fd, timeout)? > 0)
 }
 
 /// Drains a non-blocking stream into `buf` via `read`, translating the
@@ -338,8 +372,9 @@ pub fn read_nonblocking(mut stream: &TcpStream, buf: &mut [u8]) -> io::Result<Op
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
     use std::net::TcpListener;
+    use std::sync::Barrier;
+    use std::time::Instant;
 
     fn pair() -> (TcpStream, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -353,7 +388,7 @@ mod tests {
     fn accept_surfaces_as_an_event() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let ltok = poll.register_listener(listener).unwrap();
         let _client = TcpStream::connect(addr).unwrap();
         let mut events = Vec::new();
@@ -367,7 +402,7 @@ mod tests {
     #[test]
     fn readable_is_level_triggered_until_drained() {
         let (mut writer, reader) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let tok = poll.register_stream(reader).unwrap();
         writer.write_all(b"hi").unwrap();
         writer.flush().unwrap();
@@ -392,7 +427,7 @@ mod tests {
     #[test]
     fn eof_reports_readable() {
         let (writer, reader) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let tok = poll.register_stream(reader).unwrap();
         drop(writer);
         let mut events = Vec::new();
@@ -411,7 +446,7 @@ mod tests {
 
     #[test]
     fn waker_interrupts_a_long_park() {
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let waker = poll.waker();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
@@ -425,20 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn wake_before_poll_is_not_lost() {
-        let mut poll = Poll::new();
-        poll.waker().wake();
-        let start = Instant::now();
-        let mut events = Vec::new();
-        poll.poll(&mut events, Duration::from_secs(10)).unwrap();
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
     fn tokens_are_never_reused() {
         let (_w1, r1) = pair();
         let (_w2, r2) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let t1 = poll.register_stream(r1).unwrap();
         poll.deregister(t1).unwrap();
         let t2 = poll.register_stream(r2).unwrap();
@@ -448,7 +473,7 @@ mod tests {
     #[test]
     fn muted_streams_are_skipped_until_unmuted() {
         let (mut writer, reader) = pair();
-        let mut poll = Poll::new();
+        let mut poll = Poll::new().unwrap();
         let tok = poll.register_stream(reader).unwrap();
         writer.write_all(b"hi").unwrap();
         writer.flush().unwrap();
@@ -468,10 +493,96 @@ mod tests {
     #[test]
     fn wait_readable_sees_bytes_and_times_out_without() {
         let (mut writer, reader) = pair();
-        reader.set_nonblocking(true).unwrap();
         assert!(!wait_readable(&reader, Duration::from_millis(10)).unwrap());
         writer.write_all(b"x").unwrap();
         writer.flush().unwrap();
         assert!(wait_readable(&reader, Duration::from_secs(2)).unwrap());
+    }
+
+    #[test]
+    fn wait_writable_reports_room_in_the_send_buffer() {
+        let (writer, _reader) = pair();
+        assert!(wait_writable(&writer, Duration::from_secs(2)).unwrap());
+    }
+
+    #[test]
+    fn peer_bytes_end_a_long_poll() {
+        let (writer, reader) = pair();
+        let mut poll = Poll::new().unwrap();
+        let tok = poll.register_stream(reader).unwrap();
+        let release = Arc::new(Barrier::new(2));
+        let handle = {
+            let release = Arc::clone(&release);
+            std::thread::spawn(move || {
+                release.wait();
+                (&writer).write_all(b"go").unwrap();
+                writer
+            })
+        };
+        release.wait();
+        let start = Instant::now();
+        let mut events = Vec::new();
+        poll.poll(&mut events, Duration::from_secs(10)).unwrap();
+        assert!(start.elapsed() < Duration::from_secs(5));
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::Readable(t) if *t == tok)));
+        drop(handle.join().unwrap());
+    }
+
+    #[test]
+    fn reset_peer_reports_readable_or_closed() {
+        let (peer, local) = pair();
+        let mut poll = Poll::new().unwrap();
+        let tok = poll.register_stream(local).unwrap();
+        // A socket closed with unread bytes resets its connection.
+        let mut stream = poll.stream(tok).unwrap();
+        stream.write_all(b"unread").unwrap();
+        assert!(wait_readable(&peer, Duration::from_secs(2)).unwrap());
+        drop(peer);
+        let mut events = Vec::new();
+        poll.poll(&mut events, Duration::from_secs(2)).unwrap();
+        assert!(events
+            .iter()
+            .any(|e| matches!(e, Event::Readable(t) | Event::Closed(t) if *t == tok)));
+        let mut buf = [0u8; 4];
+        match read_nonblocking(poll.stream(tok).unwrap(), &mut buf) {
+            Ok(Some(0)) | Err(_) => {}
+            other => panic!("expected EOF or reset, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wake_before_poll_is_not_lost_and_is_consumed() {
+        let mut poll = Poll::new().unwrap();
+        let waker = poll.waker();
+        waker.wake();
+        waker.wake();
+        let start = Instant::now();
+        let mut events = Vec::new();
+        assert_eq!(poll.poll(&mut events, Duration::from_secs(10)).unwrap(), 0);
+        assert!(start.elapsed() < Duration::from_secs(5));
+        // Both wakes were drained: the next poll waits out its timeout.
+        let start = Instant::now();
+        assert_eq!(
+            poll.poll(&mut events, Duration::from_millis(20)).unwrap(),
+            0
+        );
+        assert!(start.elapsed() >= Duration::from_millis(20));
+    }
+
+    #[test]
+    fn muted_streams_stay_out_of_the_poll_set() {
+        let (mut writer, reader) = pair();
+        let mut poll = Poll::new().unwrap();
+        let tok = poll.register_stream(reader).unwrap();
+        writer.write_all(b"hi").unwrap();
+        poll.mute(tok);
+        let mut events = Vec::new();
+        poll.poll(&mut events, Duration::ZERO).unwrap();
+        assert_eq!(poll.fds.len(), 1, "only the waker socket is polled");
+        poll.unmute(tok);
+        poll.poll(&mut events, Duration::from_secs(2)).unwrap();
+        assert_eq!(poll.fds.len(), 2);
     }
 }

@@ -40,7 +40,7 @@
 
 use crate::frame::FrameBuffer;
 use crate::health::HealthBoard;
-use crate::poll::wait_readable;
+use crate::poll::{wait_readable, wait_writable};
 use crate::ring::HashRing;
 use accel::host::{DispatchPolicy, QuarantinePolicy};
 use accel::kernel::Kernel;
@@ -193,26 +193,33 @@ impl ShardLink {
     /// non-blocking for the router's pump loops. An ack for any version
     /// but [`PROTOCOL_VERSION`] is a [`RouterError::Handshake`].
     fn connect(addr: SocketAddr) -> Result<Self, RouterError> {
-        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+        Self::handshake(TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?)
+    }
+
+    fn handshake(mut stream: TcpStream) -> Result<Self, RouterError> {
         let _ = stream.set_nodelay(true);
         stream.set_read_timeout(Some(CONNECT_TIMEOUT))?;
         let hello = encode_request(&Request::Hello {
             min_version: MIN_SUPPORTED_VERSION,
             max_version: PROTOCOL_VERSION,
         })?;
-        write_frame(&mut stream, &hello)?;
-        let ack = read_frame(&mut stream)?;
-        match decode_response(&ack)? {
+        if let Err(e) = write_frame(&mut stream, &hello) {
+            // A shard at its connection limit writes its `Busy` farewell
+            // and closes without reading, so the `Hello` can hit a reset
+            // socket while the farewell still sits in the receive buffer:
+            // report the refusal, not the broken pipe.
+            if !e.is_disconnect() {
+                return Err(e.into());
+            }
+            return Err(match read_frame(&mut stream).map(|f| decode_response(&f)) {
+                Ok(Ok(farewell)) => Self::refusal(farewell),
+                _ => e.into(),
+            });
+        }
+        match decode_response(&read_frame(&mut stream)?)? {
             Response::HelloAck { version } => require_version(version)
                 .map_err(|e| RouterError::Handshake(format!("shard acked v{version}: {e}")))?,
-            Response::Error { code, message, .. } => {
-                return Err(RouterError::Handshake(format!("{code}: {message}")))
-            }
-            other => {
-                return Err(RouterError::Handshake(format!(
-                    "handshake answered with {other:?}"
-                )))
-            }
+            other => return Err(Self::refusal(other)),
         }
         stream.set_read_timeout(None)?;
         stream.set_nonblocking(true)?;
@@ -222,7 +229,18 @@ impl ShardLink {
         })
     }
 
-    /// Encodes and sends one request, retrying `WouldBlock` briefly.
+    /// The error for a handshake answered with anything but an ack.
+    fn refusal(response: Response) -> RouterError {
+        match response {
+            Response::Error { code, message, .. } => {
+                RouterError::Handshake(format!("{code}: {message}"))
+            }
+            other => RouterError::Handshake(format!("handshake answered with {other:?}")),
+        }
+    }
+
+    /// Encodes and sends one request, waiting for socket room on
+    /// `WouldBlock` up to [`SEND_TIMEOUT`].
     fn send(&mut self, request: &Request) -> Result<(), RouterError> {
         let payload = encode_request(request)?;
         let mut framed = Vec::with_capacity(payload.len() + 8);
@@ -242,13 +260,13 @@ impl ShardLink {
                 Ok(n) => off += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     // lint:allow(wall-clock, reason = "send-stall deadline; never feeds a result")
-                    if Instant::now() >= deadline {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() || !wait_writable(&self.stream, left)? {
                         return Err(RouterError::Io(io::Error::new(
                             ErrorKind::TimedOut,
                             "shard link send stalled",
                         )));
                     }
-                    std::thread::sleep(Duration::from_micros(500));
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(RouterError::Io(e)),
@@ -870,5 +888,36 @@ mod tests {
             }
             peer.join().unwrap();
         }
+    }
+
+    #[test]
+    fn shard_link_reports_a_busy_farewell_that_beat_its_hello() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // The server's refusal path: write the farewell, close unread.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let farewell = wire::encode_response(&Response::Error {
+                request_id: 0,
+                code: ErrorCode::Busy,
+                message: "server at its 1-connection limit".into(),
+            })
+            .unwrap();
+            write_frame(&mut stream, &farewell).unwrap();
+        });
+        // Once the farewell is readable, poke until the peer's reset
+        // lands, so the `Hello` write fails as it does when it arrives
+        // after the close.
+        assert!(wait_readable(&stream, Duration::from_secs(5)).unwrap());
+        while (&stream).write(&[0]).is_ok() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        match ShardLink::handshake(stream) {
+            Err(RouterError::Handshake(message)) => {
+                assert!(message.contains("connection limit"), "{message}");
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        peer.join().unwrap();
     }
 }

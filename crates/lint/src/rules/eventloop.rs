@@ -16,19 +16,23 @@
 //!   *bounded* endpoint — classified by [`super::channel::channel_map`]),
 //! * thread joins (`.join()`),
 //! * blocking stream I/O (`.read_exact`, `.read_to_end`,
-//!   `TcpStream::connect`, `set_nonblocking(false)`).
+//!   `TcpStream::connect`, `set_nonblocking(false)`),
+//! * calls to any function declared in an `extern` block of a scanned
+//!   file — the analysis cannot see into foreign code, and a system call
+//!   such as `poll(2)` may park the thread.
 //!
 //! Closures handed to deferred-execution sinks (`spawn` / `execute` /
 //! `on_finish`) run off-loop and are skipped, matching the call graph's
-//! own convention. Legitimate on-loop blocking — the bounded park slice
-//! in `poll::park`, short lock holds on loop-local state — carries an
+//! own convention. Legitimate on-loop blocking — the `poll(2)` wait in
+//! `poll::sys_poll`, short lock holds on loop-local state — carries an
 //! audited `// lint:allow(eventloop, reason = "...")`.
 
 use super::channel::channel_map;
 use crate::callgraph::{deferred_ranges, CallGraph};
 use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
-use crate::source::SourceFile;
+use crate::source::{matching, SourceFile};
+use std::collections::BTreeSet;
 
 pub const BLOCKING: &str = "eventloop::blocking";
 
@@ -60,6 +64,7 @@ pub fn check(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
         return;
     }
 
+    let foreign = foreign_fns(files);
     let parent = graph.reachable(&roots);
     for &n in parent.keys() {
         let node = &graph.nodes[n];
@@ -69,13 +74,49 @@ pub fn check(files: &[&SourceFile], out: &mut Vec<Diagnostic>) {
             continue;
         };
         let chain = graph.path_to(&parent, n).join(" -> ");
-        scan_ops(file, open, close, &chain, out);
+        scan_ops(file, &foreign, open, close, &chain, out);
     }
+}
+
+/// Names of the functions declared in `extern` blocks (`extern "C" {
+/// fn poll(..); }`) across `files`.
+fn foreign_fns(files: &[&SourceFile]) -> BTreeSet<String> {
+    let mut names = BTreeSet::new();
+    for file in files {
+        let toks = &file.toks;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident || t.text != "extern" {
+                continue;
+            }
+            let abi = usize::from(toks.get(i + 1).is_some_and(|x| x.kind == TokKind::Str));
+            let open = i + 1 + abi;
+            if toks.get(open).is_none_or(|x| x.text != "{") {
+                continue; // `extern crate`, `extern "C" fn` definitions
+            }
+            let Some(close) = matching(toks, open, "{", "}") else {
+                continue;
+            };
+            names.extend(
+                file.fns
+                    .iter()
+                    .filter(|f| f.kw > open && f.kw < close)
+                    .map(|f| f.name.clone()),
+            );
+        }
+    }
+    names
 }
 
 /// Scans one reachable function body for blocking operations, skipping
 /// deferred-closure spans.
-fn scan_ops(file: &SourceFile, open: usize, close: usize, chain: &str, out: &mut Vec<Diagnostic>) {
+fn scan_ops(
+    file: &SourceFile,
+    foreign: &BTreeSet<String>,
+    open: usize,
+    close: usize,
+    chain: &str,
+    out: &mut Vec<Diagnostic>,
+) {
     let chans = channel_map(file);
     let skipped = deferred_ranges(file, open, close);
     let toks = &file.toks;
@@ -85,7 +126,7 @@ fn scan_ops(file: &SourceFile, open: usize, close: usize, chain: &str, out: &mut
             k = end + 1;
             continue;
         }
-        if let Some(desc) = blocking_op(file, &chans, k) {
+        if let Some(desc) = blocking_op(file, &chans, foreign, k) {
             let t = &toks[k];
             out.push(Diagnostic::error(
                 BLOCKING,
@@ -105,6 +146,7 @@ fn scan_ops(file: &SourceFile, open: usize, close: usize, chain: &str, out: &mut
 fn blocking_op(
     file: &SourceFile,
     chans: &super::channel::ChannelMap,
+    foreign: &BTreeSet<String>,
     k: usize,
 ) -> Option<&'static str> {
     let toks = &file.toks;
@@ -147,6 +189,9 @@ fn blocking_op(
             if called && prev(1) == Some("::") && prev(2) == Some("TcpStream") =>
         {
             Some("blocking `TcpStream::connect`")
+        }
+        name if called && !matches!(prev(1), Some("fn" | "." | "::")) && foreign.contains(name) => {
+            Some("foreign call into an `extern` function")
         }
         _ => None,
     }
@@ -219,6 +264,19 @@ mod tests {
         let out = run(&[("poll.rs", "fn scan(&mut self) { handle.wait(); }")]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("blocking wait"), "{out:?}");
+    }
+
+    #[test]
+    fn calls_to_extern_block_functions_are_blocking() {
+        let out = run(&[(
+            "poll.rs",
+            "extern \"C\" { fn poll(fds: *mut PollFd, n: u64, ms: i32) -> i32; }\n\
+             fn wait(fds: &mut [PollFd]) -> i32 { unsafe { poll(fds.as_mut_ptr(), 1, 0) } }\n\
+             fn scan(&mut self) { self.poll(); other::poll(); }",
+        )]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].line, 2, "{out:?}");
+        assert!(out[0].message.contains("foreign call"), "{out:?}");
     }
 
     #[test]

@@ -187,7 +187,7 @@ fn item_extent(toks: &[Tok], mut i: usize) -> usize {
 
 /// Index of the delimiter closing the one at `open`, scanning only that
 /// delimiter kind (sufficient for well-formed code).
-fn matching(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> Option<usize> {
+pub(crate) fn matching(toks: &[Tok], open: usize, open_s: &str, close_s: &str) -> Option<usize> {
     let mut depth = 0i32;
     for (j, t) in toks.iter().enumerate().skip(open) {
         if t.kind == TokKind::Punct {

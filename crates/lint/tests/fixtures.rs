@@ -147,6 +147,17 @@ fn annotated_and_deferred_loop_blocking_is_silent() {
 }
 
 #[test]
+fn foreign_calls_on_the_loop_path_are_blocking() {
+    // `poll` is declared in the fixture's `extern "C"` block: the call in
+    // `event_loop` (line 11) is flagged, the annotated one in
+    // `audited_wait` and the off-path one in `background` are silent.
+    assert_eq!(
+        findings("eventloop_ffi.rs"),
+        vec![("eventloop::blocking".to_string(), 11)]
+    );
+}
+
+#[test]
 fn unbounded_decode_allocations_fire_at_the_right_lines() {
     assert_eq!(
         findings("alloc_bad.rs"),

@@ -181,6 +181,11 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
         let peer = stream.peer_addr().map_err(WireError::Io)?;
+        Self::over(stream, peer)
+    }
+
+    /// A client over an already-connected stream, after the handshake.
+    fn over(stream: TcpStream, peer: SocketAddr) -> Result<Self, ClientError> {
         let _ = stream.set_nodelay(true);
         let jitter = StdRng::seed_from_u64(jitter_seed(&stream, peer));
         let mut client = Client {
@@ -244,11 +249,20 @@ impl Client {
     }
 
     fn handshake(&mut self) -> Result<(), ClientError> {
-        self.write_request(&Request::Hello {
+        let sent = self.write_request(&Request::Hello {
             min_version: MIN_SUPPORTED_VERSION,
             max_version: PROTOCOL_VERSION,
-        })?;
-        match self.read_response()? {
+        });
+        let response = match sent {
+            Ok(()) => self.read_response()?,
+            // A server at its connection limit writes its `Busy` farewell
+            // and closes without reading, so the `Hello` can hit a reset
+            // socket while the farewell still sits in the receive buffer:
+            // report the refusal, not the broken pipe.
+            Err(e) if e.is_disconnect() => self.read_response().map_err(|_| e)?,
+            Err(e) => return Err(e),
+        };
+        match response {
             Response::HelloAck { version } => require_version(version)
                 .map_err(|e| ClientError::VersionRejected(format!("server acked v{version}: {e}"))),
             Response::Error { code, message, .. } => match code {
@@ -533,5 +547,40 @@ mod tests {
             assert!(delay <= policy.max_backoff);
             prev = delay;
         }
+    }
+
+    #[test]
+    fn busy_farewell_that_beat_the_hello_surfaces_as_busy() {
+        use std::io::Write;
+        use std::net::TcpListener;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stream = TcpStream::connect(addr).unwrap();
+        // The server's refusal path: write the farewell, close unread.
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let farewell = wire::encode_response(&Response::Error {
+                request_id: 0,
+                code: ErrorCode::Busy,
+                message: "server at its 1-connection limit".into(),
+            })
+            .unwrap();
+            write_frame(&mut stream, &farewell).unwrap();
+        });
+        // Once the farewell is readable, poke until the peer's reset
+        // lands, so the `Hello` write fails as it does when it arrives
+        // after the close.
+        assert!(cluster::poll::wait_readable(&stream, Duration::from_secs(5)).unwrap());
+        while (&stream).write(&[0]).is_ok() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        match Client::over(stream, addr) {
+            Err(ClientError::Busy(message)) => {
+                assert!(message.contains("connection limit"), "{message}");
+            }
+            Err(other) => panic!("unexpected {other}"),
+            Ok(_) => panic!("a refused handshake must not connect"),
+        }
+        peer.join().unwrap();
     }
 }

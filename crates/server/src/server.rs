@@ -7,8 +7,8 @@
 //! completion queue (finished jobs, encoded off-loop), retry parked
 //! submits, flush outboxes, and tear down finished connections. There
 //! is no accept sleep-poll and no thread-per-connection — idle time is
-//! spent parked on the poll's condvar, which job completions and
-//! shutdown interrupt through a [`cluster::Waker`].
+//! spent blocked in one `poll(2)` call, which a peer's bytes, a new
+//! connection, or a [`cluster::Waker`] (job completions, shutdown) ends.
 
 use crate::connection::Conn;
 use crate::sync::lock_or_recover;
@@ -23,8 +23,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 use wire::{encode_response, write_frame, ErrorCode, GossipEntry, Response};
 
-/// Upper bound on one poll wait. Completions and shutdown wake the loop
-/// early; this only caps how long a parked-submit retry can lag.
+/// Upper bound on one poll wait. Socket readiness, completions and
+/// shutdown end the wait early; this only caps how long a parked-submit
+/// retry or a stalled outbox flush can lag.
 const POLL_TIMEOUT: Duration = Duration::from_millis(25);
 
 /// Cap on encode-pool threads; result encoding is cheap, so a few
@@ -184,8 +185,8 @@ impl Server {
     /// # Errors
     ///
     /// [`ServerError::Config`] for a zero connection limit,
-    /// [`ServerError::Io`] if binding fails, [`ServerError::Runtime`] if
-    /// the runtime cannot start.
+    /// [`ServerError::Io`] if binding or setting up the event loop fails,
+    /// [`ServerError::Runtime`] if the runtime cannot start.
     pub fn start(config: ServerConfig) -> Result<Self, ServerError> {
         if config.max_connections == 0 {
             return Err(ServerError::Config(
@@ -197,7 +198,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let encode_workers = config.runtime.workers.clamp(1, ENCODE_WORKERS);
         let runtime = Runtime::start(config.runtime).map_err(ServerError::Runtime)?;
-        let mut poll = Poll::new();
+        let mut poll = Poll::new()?;
         let listener_token = poll.register_listener(listener)?;
         let waker = poll.waker();
         let shared = Arc::new(ServerShared {

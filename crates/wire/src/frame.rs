@@ -9,7 +9,12 @@
 use crate::{WireError, MAGIC, MAX_FRAME_LEN};
 use std::io::{Read, Write};
 
-/// Writes one frame (magic, length, payload) and flushes.
+/// Writes one frame (magic, length, payload) in a single `write_all`
+/// and flushes.
+///
+/// One write means one syscall (and, with `TCP_NODELAY`, one segment)
+/// per frame on an unbuffered stream, and a frame is never split across
+/// Nagle-delayed segments that a close could discard.
 ///
 /// # Errors
 ///
@@ -25,9 +30,11 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), WireError>
             max: u64::from(MAX_FRAME_LEN),
         });
     }
-    w.write_all(&MAGIC)?;
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(payload.len() + 8);
+    frame.extend_from_slice(&MAGIC);
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }

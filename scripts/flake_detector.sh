@@ -18,6 +18,8 @@ for run in $(seq 1 "$RUNS"); do
   cargo test -q --release --test chaos_serving
   echo "--- run ${run}/${RUNS}: net_serving"
   cargo test -q --release --test net_serving
+  echo "--- run ${run}/${RUNS}: cluster_serving"
+  cargo test -q --release --test cluster_serving
 done
 
 echo "==> flake detector: ${RUNS}x loadgen chaos digest comparison"

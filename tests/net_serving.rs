@@ -216,6 +216,27 @@ fn connection_limit_rejects_gracefully() {
 }
 
 #[test]
+fn sequential_pings_do_not_wait_out_a_park_timer() {
+    // The event loop wakes on socket readiness, so a closed-loop client
+    // pays a round trip per request. A loop that woke on a 1 ms timer
+    // would need at least 200 ms for these 200 pings.
+    let server = test_server(1, 4);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.ping(0).unwrap();
+    let start = std::time::Instant::now();
+    for token in 1..=200 {
+        client.ping(token).unwrap();
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "200 pings took {elapsed:?}"
+    );
+    drop(client);
+    let _ = server.shutdown();
+}
+
+#[test]
 fn garbage_bytes_answered_with_error_frame_and_server_survives() {
     let server = test_server(1, 4);
     // A peer that speaks no protocol at all.
